@@ -183,9 +183,6 @@ def main(argv: list[str] | None = None) -> int:
                 parts.append("no_baseline=true")
             print("validate: " + " ".join(parts))
         return code
-    except PipelineError as exc:
-        print(f"altgen: error: {exc}", file=sys.stderr)
-        return 2
     except AltgenError as exc:
         print(f"altgen: error: {exc}", file=sys.stderr)
         return 2

@@ -90,19 +90,28 @@ class EpubArchive:
 
     entries: list[ArchiveEntry] = field(default_factory=list)
     rootfile_path: str = ""
+    # path -> position in entries; checked on use and rebuilt when stale,
+    # because callers may edit `entries` directly
+    _positions: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _position(self, path: str) -> int | None:
+        i = self._positions.get(path)
+        if i is None or i >= len(self.entries) or self.entries[i].path != path:
+            self._positions = {}
+            for j, e in enumerate(self.entries):
+                self._positions.setdefault(e.path, j)
+            i = self._positions.get(path)
+        return i
 
     def entry(self, path: str) -> ArchiveEntry | None:
-        for e in self.entries:
-            if e.path == path:
-                return e
-        return None
+        i = self._position(path)
+        return None if i is None else self.entries[i]
 
     def replace_entry(self, entry: ArchiveEntry) -> None:
-        for i, e in enumerate(self.entries):
-            if e.path == entry.path:
-                self.entries[i] = entry
-                return
-        raise KeyError(entry.path)
+        i = self._position(entry.path)
+        if i is None:
+            raise KeyError(entry.path)
+        self.entries[i] = entry
 
     def copy(self) -> "EpubArchive":
         return EpubArchive([replace(e) for e in self.entries], self.rootfile_path)

@@ -212,8 +212,9 @@ def detect_language(text: str, config: EnsembleConfig | None = None) -> tuple[st
 
 
 def load_profile(path: Path) -> LanguageProfile:
-    """Read one `<subtag>.profile` file: a trigram per line, rank order."""
-    lang = path.stem
+    """Read one `<subtag>.profile` file: a trigram per line, rank order.
+    `path` may also be a package resource."""
+    lang = Path(path.name).stem
     lines = path.read_text(encoding="utf-8").splitlines()
     trigrams = tuple(line for line in lines if line)
     return LanguageProfile(lang, trigrams)
@@ -236,12 +237,11 @@ def load_embedded_profiles() -> list[LanguageProfile]:
     with _EMBEDDED_LOCK:
         if not _EMBEDDED_CACHE:
             root = resources.files(__package__) / "profiles"
-            profiles = []
-            for item in sorted(root.iterdir(), key=lambda p: p.name):
-                if item.name.endswith(".profile"):
-                    lang = item.name[: -len(".profile")]
-                    lines = item.read_text(encoding="utf-8").splitlines()
-                    profiles.append(LanguageProfile(lang, tuple(l for l in lines if l)))
+            profiles = [
+                load_profile(item)
+                for item in sorted(root.iterdir(), key=lambda p: p.name)
+                if item.name.endswith(".profile")
+            ]
             if not profiles:
                 raise NoProfiles("no embedded profiles found")
             _EMBEDDED_CACHE.extend(profiles)

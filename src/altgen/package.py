@@ -537,10 +537,3 @@ def _serialize_meta_entry(entry: MetaEntry) -> str:
         return _element(entry.name or "meta", entry.attrs, entry.value)
     local = _DC_LOCAL_BY_KIND[entry.kind]
     return _element(f"dc:{local}", entry.attrs, entry.value)
-
-
-def relativize_href(base_dir: str, container_path: str) -> str:
-    """Inverse of resolve_href for programmatically added items."""
-    if has_scheme(container_path) or not base_dir:
-        return container_path
-    return posixpath.relpath(container_path, base_dir)

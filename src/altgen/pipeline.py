@@ -2,9 +2,12 @@
 directories, with per-file parallelism and JSON/text reporting.
 
 Stage order per file is fixed: parse and audit, caption generation, metadata
-enrichment, reconstruction, re-audit. Files are independent; parallel runs
-produce the same per-file bytes as jobs=1. Setting ALTGEN_EPOCH freezes the
-timing clock so reports become byte-stable.
+enrichment, reconstruction, re-audit. Captioning takes each content document
+in one pass: one parse, one context walk for all of its targets, then one
+splice of all their alts, checked once per document. A document that cannot
+be repaired fails its file, never the batch. Files are independent; parallel
+runs produce the same per-file bytes as jobs=1. Setting ALTGEN_EPOCH freezes
+the timing clock so reports become byte-stable.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from altgen.backend import (
     SUPPORTED_MEDIA_TYPES,
 )
 from altgen.container import ArchiveEntry, EpubArchive, open_epub
-from altgen.content import extract_context, find_images, set_alt_text
+from altgen.content import ContentDocument, find_images
 from altgen.enrich import AppliedFix, enrich_metadata
 from altgen.errors import AltgenError
 from altgen.langdetect import EnsembleConfig, detect_language
@@ -203,11 +206,17 @@ class _StrictCaptionFailure(Exception):
         super().__init__(str(cause))
 
 
-def _media_type_for(pkg: PackageDocument, src: str) -> str | None:
+def _media_types(pkg: PackageDocument) -> dict[str, str]:
+    """Manifest media type by href; the first item with a type wins."""
+    out: dict[str, str] = {}
     for item in pkg.manifest:
-        if item.href == src and item.media_type:
-            return item.media_type
-    return _MEDIA_BY_EXTENSION.get(posixpath.splitext(src)[1].lower())
+        if item.media_type:
+            out.setdefault(item.href, item.media_type)
+    return out
+
+
+def _media_type_for(media_types: dict[str, str], src: str) -> str | None:
+    return media_types.get(src) or _MEDIA_BY_EXTENSION.get(posixpath.splitext(src)[1].lower())
 
 
 def _caption_language(pkg: PackageDocument) -> str | None:
@@ -255,6 +264,7 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
         )
 
     language = _caption_language(pkg)
+    media_types = _media_types(pkg)
     alts_written = 0
     caption_failures = 0
     modified: dict[str, ArchiveEntry] = {}
@@ -266,24 +276,27 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
             if entry is None:
                 continue
             try:
-                occurrences = find_images(entry, item.href)
+                document = ContentDocument(entry, item.href)
             except AltgenError:
                 continue  # audit already recorded the warning
-            current = entry
-            for occ in occurrences:
+            targets = []
+            for occ in document.images:
                 if occ.decorative or not _inadequate(occ.existing_alt, occ.src):
                     continue
                 image_entry = archive.entry(occ.src)
                 if image_entry is None:
                     continue  # dangling; nothing to caption
-                media_type = _media_type_for(pkg, occ.src)
+                media_type = _media_type_for(media_types, occ.src)
                 if media_type not in SUPPORTED_MEDIA_TYPES:
                     continue
-                context = extract_context(current, occ, pkg)
+                targets.append((occ, image_entry, media_type))
+            contexts = document.contexts([occ.element_index for occ, _, _ in targets], pkg)
+            alts: dict[int, str] = {}
+            for occ, image_entry, media_type in targets:
                 request = CaptionRequest(
                     image_bytes=image_entry.data,
                     media_type=media_type,
-                    context=context,
+                    context=contexts[occ.element_index],
                     max_length=config.max_alt_length,
                     language=language,
                     source_name=posixpath.basename(occ.src),
@@ -295,9 +308,10 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
                         raise _StrictCaptionFailure(exc)
                     caption_failures += 1
                     continue
-                current = set_alt_text(current, occ, candidate.alt_text)
-                modified[item.href] = current
-                alts_written += 1
+                alts[occ.element_index] = candidate.alt_text
+            if alts:
+                modified[item.href] = document.with_alts(alts)
+                alts_written += len(alts)
     except _StrictCaptionFailure as exc:
         return finish(
             FileResult(
@@ -306,6 +320,17 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
                 pre_report=pre,
                 caption_failures=caption_failures + 1,
                 failure_reason=f"backend failure with --strict: {exc.cause}",
+            )
+        )
+    except AltgenError as exc:
+        # one document that cannot be repaired fails its book, not the batch
+        return finish(
+            FileResult(
+                str(path),
+                FileStatus.FAILED,
+                pre_report=pre,
+                caption_failures=caption_failures,
+                failure_reason=str(exc),
             )
         )
 

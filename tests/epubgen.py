@@ -243,3 +243,19 @@ def make_book(
     if extra_entries:
         entries.extend(extra_entries)
     return build_zip(entries)
+
+
+def book_with_chapter(chapter: bytes, image_names: list[str]) -> bytes:
+    """A one-chapter book whose chapter bytes are given verbatim, packaging
+    a PNG for each name under OEBPS/images/."""
+    manifest = [("c1", "ch1.xhtml", "application/xhtml+xml")]
+    images = []
+    for k, name in enumerate(image_names):
+        manifest.append((f"img{k}", f"images/{name}", "image/png"))
+        images.append((f"OEBPS/images/{name}", tiny_png()))
+    entries = [
+        ("META-INF/container.xml", container_xml()),
+        ("OEBPS/ch1.xhtml", chapter),
+        ("OEBPS/content.opf", opf(manifest=manifest, spine=["c1"])),
+    ]
+    return build_zip(entries + images)

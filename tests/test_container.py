@@ -211,6 +211,20 @@ def test_replace_entry_unknown_path_raises(clean_book_bytes):
         arc.replace_entry(ArchiveEntry(path="OEBPS/nope.xhtml", data=b""))
 
 
+def test_entry_lookup_follows_replacements_and_list_edits(clean_book_bytes):
+    arc = open_epub(clean_book_bytes)
+    arc.replace_entry(arc.entry("OEBPS/ch1.xhtml").with_data(b"<x/>"))
+    assert arc.entry("OEBPS/ch1.xhtml").data == b"<x/>"
+    arc.entries.reverse()
+    assert arc.entry("OEBPS/ch1.xhtml").data == b"<x/>"
+    assert arc.entry("OEBPS/extra.txt") is None
+    arc.entries.append(ArchiveEntry(path="OEBPS/extra.txt", data=b"new"))
+    assert arc.entry("OEBPS/extra.txt").data == b"new"
+    arc.entries[-1] = ArchiveEntry(path="OEBPS/other.txt", data=b"other")
+    assert arc.entry("OEBPS/extra.txt") is None
+    assert arc.entry("OEBPS/other.txt").data == b"other"
+
+
 def test_with_data_marks_modified(clean_book_bytes):
     arc = open_epub(clean_book_bytes)
     entry = arc.entry("OEBPS/ch1.xhtml")

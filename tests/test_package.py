@@ -12,7 +12,6 @@ from altgen.package import (
     MalformedXml,
     has_scheme,
     parse_opf,
-    relativize_href,
     resolve_href,
     serialize_opf,
 )
@@ -78,11 +77,6 @@ def test_scheme_href_left_verbatim():
 def test_dotdot_href_resolves_upward():
     assert resolve_href("OEBPS/text", "../images/a.png") == "OEBPS/images/a.png"
     assert resolve_href("", "a.png") == "a.png"
-
-
-def test_relativize_inverts_resolve():
-    assert relativize_href("OEBPS", "OEBPS/images/a.png") == "images/a.png"
-    assert relativize_href("", "a.png") == "a.png"
 
 
 def test_malformed_xml_raises():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from altgen.pipeline import (
     run_repair,
     run_validate,
 )
-from epubgen import make_book
+from epubgen import book_with_chapter, make_book, page
 
 
 def write_book(path: Path, **kwargs) -> Path:
@@ -227,6 +228,50 @@ class TestRunRepair:
         assert agg["pre_errors"] == 3
         assert agg["post_errors"] == 3
         assert agg["err_percent"] == 0.0
+
+    def _batch_with(self, tmp_path, chapter: bytes) -> tuple[list, int, Path]:
+        """Repair `chapter` (one image, images/a.png) next to a good book."""
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "bad.epub").write_bytes(book_with_chapter(chapter, ["a.png"]))
+        write_book(tmp_path / "in" / "good.epub", **defective_kwargs())
+        out = tmp_path / "out"
+        results, code = run_repair([tmp_path / "in"], PipelineConfig(jobs=1, output_dir=out))
+        return results, code, out
+
+    def _assert_isolated(self, results, code, out, reason: str) -> None:
+        bad, good = results
+        assert bad.status is FileStatus.FAILED
+        assert reason in bad.failure_reason
+        assert bad.alts_written == 0
+        assert not (out / "bad.epub").exists()
+        assert good.status is FileStatus.REPAIRED
+        assert (out / "good.epub").exists()
+        stored = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
+        assert [row["status"] for row in stored["files"]] == ["Failed", "Repaired"]
+        assert code == 2
+
+    def test_rewrite_failure_fails_only_its_book(self, tmp_path):
+        # the tokenizer takes the <img inside the script for the first image,
+        # so the post-splice check finds the real image still without alt
+        chapter = (
+            b'<html><body><p>soup<script>var s = "<img src=q>";</script>'
+            b'<img src="images/a.png"></body></html>'
+        )
+        self._assert_isolated(*self._batch_with(tmp_path, chapter), "verification failed")
+
+    def test_stale_occurrence_fails_only_its_book(self, tmp_path):
+        # an unterminated quote hides the image from the tokenizer
+        chapter = b"<html><body><p title='x>text</p><img src=\"images/a.png\"></body></html>"
+        self._assert_isolated(*self._batch_with(tmp_path, chapter), "not found")
+
+    def test_utf16_chapter_repaired(self, tmp_path):
+        text = page('<img src="images/a.png"/>').decode("utf-8").replace("UTF-8", "UTF-16")
+        chapter = codecs.BOM_UTF16_LE + text.encode("utf-16-le")
+        results, code, out = self._batch_with(tmp_path, chapter)
+        assert [r.status for r in results] == [FileStatus.REPAIRED, FileStatus.REPAIRED]
+        assert results[0].alts_written == 1
+        assert (out / REPORT_FILENAME).exists()
+        assert code == 0
 
     def test_name_collision_outputs(self, tmp_path):
         d1 = tmp_path / "d1"
