@@ -4,12 +4,21 @@ client for a remote captioning service.
 Wire protocol (UTF-8 JSON bodies, canonical form: sorted keys, no spaces):
 POST /v1/caption, /v1/embed, and optionally /v1/language. Errors come back
 as 4xx/5xx with {"error": str}. Retries happen only on connect/timeout
-failures: two retries with 0.5 s then 2 s backoff.
+failures: two retries with 0.5 s then 2 s backoff. Redirects are rejected,
+not followed, and a response body is read up to MAX_RESPONSE_BYTES.
+
+Both backends caption a batch with `generate_alts`, which returns results
+in request order. The remote client sends one document's caption requests
+together, at most DEFAULT_INFLIGHT_CAP (4) in flight per client across all
+workers; callers apply the results in document order, so output does not
+depend on which answer arrives first. Validation embeds up to 32 texts
+(16 reference pairs) per /v1/embed request.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 import posixpath
@@ -17,6 +26,8 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
@@ -35,6 +46,8 @@ MAX_MAX_LENGTH = 1000
 # seconds to sleep before each retry; only BackendUnavailable retries
 RETRY_BACKOFF = (0.5, 2.0)
 DEFAULT_INFLIGHT_CAP = 4
+MAX_RESPONSE_BYTES = 8 * 1024 * 1024
+MAX_EMBED_TEXT = 2000
 
 ENV_BACKEND_URL = "ALTGEN_BACKEND_URL"
 ENV_BACKEND_TOKEN = "ALTGEN_BACKEND_TOKEN"
@@ -58,6 +71,10 @@ class MalformedResponse(BackendError):
 
 class CandidateInvalid(BackendError):
     """Response parsed but violates AltCandidate invariants."""
+
+
+class TextTooLong(BackendError):
+    """A text given to the stub embedder exceeds MAX_EMBED_TEXT characters."""
 
 
 @dataclass(frozen=True)
@@ -100,6 +117,13 @@ def _validate_candidate(alt_text: str, confidence: float, max_length: int, backe
     if not 0.0 <= float(confidence) <= 1.0 or not math.isfinite(confidence):
         raise CandidateInvalid(f"confidence {confidence} outside [0, 1]")
     return AltCandidate(alt_text, float(confidence), backend_id)
+
+
+def _attempt(generate, request: CaptionRequest) -> AltCandidate | BackendError:
+    try:
+        return generate(request)
+    except BackendError as exc:
+        return exc
 
 
 def fit_to_length(text: str, max_length: int) -> str:
@@ -167,23 +191,27 @@ class StubBackend:
         alt = fit_to_length(" ".join(parts), request.max_length)
         return _validate_candidate(alt, 1.0, request.max_length, self.backend_id)
 
+    def generate_alts(self, requests: list[CaptionRequest]) -> list[AltCandidate | BackendError]:
+        """One result per request, in request order; a failed request yields
+        its BackendError."""
+        return [_attempt(self.generate_alt, request) for request in requests]
+
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
         if not texts:
             raise ValueError("texts must be non-empty")
         for text in texts:
-            if len(text) > 2000:
-                raise ValueError("text exceeds 2000 characters")
-        tokenized = [tokenize(t) for t in texts]
-        vocabulary = sorted({tok for toks in tokenized for tok in toks})
+            if len(text) > MAX_EMBED_TEXT:
+                raise TextTooLong(f"text exceeds {MAX_EMBED_TEXT} characters")
+        counts = [Counter(tokenize(t)) for t in texts]
+        vocabulary = sorted({tok for c in counts for tok in c})
         index = {tok: i for i, tok in enumerate(vocabulary)}
         vectors = []
-        for toks in tokenized:
+        for c in counts:
+            # zeros add nothing to an fsum, so the norm needs only the counts
+            norm = math.sqrt(math.fsum(n * n for n in c.values()))
             vec = [0.0] * len(vocabulary)
-            for tok in toks:
-                vec[index[tok]] += 1.0
-            norm = math.sqrt(math.fsum(x * x for x in vec))
-            if norm > 0.0:
-                vec = [x / norm for x in vec]
+            for tok, n in c.items():
+                vec[index[tok]] = n / norm
             vectors.append(vec)
         return vectors
 
@@ -203,6 +231,13 @@ def context_to_wire(ctx: ContextBundle) -> dict:
         "nearest_heading": ctx.nearest_heading,
         "doc_title": ctx.doc_title,
     }
+
+
+class _RejectRedirects(urllib.request.HTTPRedirectHandler):
+    """Turns every 3xx into an HTTPError instead of following it."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
 
 
 class RemoteBackend:
@@ -228,8 +263,10 @@ class RemoteBackend:
         self.token = token
         self.timeout = timeout
         self.backend_id = self.url
+        self.inflight_cap = inflight_cap
         self._gate = threading.Semaphore(inflight_cap)
         self._sleep = sleep if sleep is not None else time.sleep
+        self._opener = urllib.request.build_opener(_RejectRedirects)
 
     def _post(self, path: str, payload: dict) -> dict:
         body = canonical_json(payload)
@@ -248,16 +285,20 @@ class RemoteBackend:
             )
             try:
                 with self._gate:
-                    with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                        raw = response.read()
+                    with self._opener.open(request, timeout=self.timeout) as response:
+                        raw = response.read(MAX_RESPONSE_BYTES + 1)
                 break
             except urllib.error.HTTPError as exc:
+                if 300 <= exc.code < 400:
+                    raise BackendRejected(f"status {exc.code}: redirects are not followed") from exc
                 excerpt = exc.read(200).decode("utf-8", "replace")
                 raise BackendRejected(f"status {exc.code}: {excerpt}") from exc
             except (urllib.error.URLError, TimeoutError, OSError) as exc:
                 last_error = exc
         else:
             raise BackendUnavailable(str(last_error)) from last_error
+        if len(raw) > MAX_RESPONSE_BYTES:
+            raise MalformedResponse(f"response exceeds {MAX_RESPONSE_BYTES} bytes")
         try:
             parsed = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -284,6 +325,16 @@ class RemoteBackend:
         if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
             raise MalformedResponse("confidence is not a number")
         return _validate_candidate(alt_text, confidence, request.max_length, self.backend_id)
+
+    def generate_alts(self, requests: list[CaptionRequest]) -> list[AltCandidate | BackendError]:
+        """One result per request, in request order; a failed request yields
+        its BackendError. Requests run on up to `inflight_cap` threads, and
+        the shared semaphore still caps them across concurrent callers."""
+        attempt = functools.partial(_attempt, self.generate_alt)
+        if len(requests) <= 1:
+            return [attempt(request) for request in requests]
+        with ThreadPoolExecutor(max_workers=min(self.inflight_cap, len(requests))) as pool:
+            return list(pool.map(attempt, requests))
 
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
         if not texts:

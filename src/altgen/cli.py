@@ -172,7 +172,8 @@ def main(argv: list[str] | None = None) -> int:
             parts = []
             for key in (
                 "cosine", "bleu", "err_percent", "seconds_per_file",
-                "n_files", "n_pairs", "embed_failures", "missing_references",
+                "n_files", "n_pairs", "embed_failures", "bleu_failures",
+                "missing_references",
             ):
                 value = d[key]
                 if isinstance(value, float):

@@ -411,29 +411,44 @@ def extract_context(
 
 def document_text(doc: ArchiveEntry, limit: int | None = None) -> str:
     """Whole-document visible text, whitespace-normalized; script/style
-    content excluded. Raises UnparseableDocument."""
+    content excluded. Raises UnparseableDocument.
+
+    The walk keeps its own stack, so nesting depth is not bounded by the
+    interpreter's recursion limit. With `limit`, it stops once the raw text
+    passes twice the limit, checked after each child's tail."""
     root = parse_document(doc.data)
     parts: list[str] = []
     total = 0
 
-    def walk(elem: ET.Element) -> bool:
+    def opened(elem: ET.Element) -> bool:
+        """Takes the element's own text, unless its content is not shown."""
         nonlocal total
         if not isinstance(elem.tag, str) or _localname(elem.tag) in _NO_TEXT_TAGS:
-            return True
+            return False
         if elem.text:
             parts.append(elem.text)
             total += len(elem.text)
-        for child in elem:
-            if not walk(child):
-                return False
-            if child.tail:
-                parts.append(child.tail)
-                total += len(child.tail)
-            if limit is not None and total > limit * 2:
-                return False
         return True
 
-    walk(root)
+    def closed(elem: ET.Element) -> bool:
+        """Takes the element's tail; False once past the cut-off."""
+        nonlocal total
+        if elem.tail:
+            parts.append(elem.tail)
+            total += len(elem.tail)
+        return limit is None or total <= limit * 2
+
+    stack = [(root, iter(root))] if opened(root) else []
+    while stack:
+        child = next(stack[-1][1], None)
+        if child is None:
+            elem = stack.pop()[0]
+            if stack and not closed(elem):
+                break
+        elif opened(child):
+            stack.append((child, iter(child)))
+        elif not closed(child):
+            break
     text = normalize_ws(" ".join(parts))
     if limit is not None:
         text = text[:limit]

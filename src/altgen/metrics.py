@@ -8,12 +8,17 @@ whitespace, strip leading/trailing punctuation, lowercase, drop empties.
 from __future__ import annotations
 
 import math
+import operator
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from altgen.errors import AltgenError
+
+
+# Pairs per embedder call in corpus_metrics: 32 texts per request.
+EMBED_CHUNK_PAIRS = 16
 
 
 class MetricError(AltgenError):
@@ -62,13 +67,11 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     """
     if len(a) != len(b):
         raise LengthMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    for v in (a, b):
-        for x in v:
-            if not math.isfinite(x):
-                raise ValueError("vectors must contain only finite values")
-    dot = math.fsum(x * y for x, y in zip(a, b))
-    norm_a = math.sqrt(math.fsum(x * x for x in a))
-    norm_b = math.sqrt(math.fsum(y * y for y in b))
+    if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
+        raise ValueError("vectors must contain only finite values")
+    dot = math.fsum(map(operator.mul, a, b))
+    norm_a = math.sqrt(math.fsum(map(operator.mul, a, a)))
+    norm_b = math.sqrt(math.fsum(map(operator.mul, b, b)))
     if norm_a == 0.0 or norm_b == 0.0:
         raise ZeroVector("cosine undefined for an all-zero vector")
     return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
@@ -171,6 +174,41 @@ class MetricReport:
         }
 
 
+def _pair_cosine(vectors: Sequence[Sequence[float]]) -> float | None:
+    """Cosine of one pair's two vectors; None if there are not exactly two
+    or the cosine is undefined."""
+    if len(vectors) != 2:
+        return None
+    try:
+        return cosine_similarity(vectors[0], vectors[1])
+    except MetricError:
+        return None
+
+
+def _chunk_cosines(
+    chunk: Sequence[tuple[str, str]],
+    embedder: Callable[[list[str]], list[Sequence[float]]],
+) -> list[float | None]:
+    """Each pair's cosine, None where it failed, from one embedder call for
+    the whole chunk. If that call fails or returns the wrong count, the
+    pairs are embedded one at a time, so only the pair at fault fails."""
+    texts = [text for pair in chunk for text in pair]
+    try:
+        vectors = embedder(texts)
+    except AltgenError:
+        vectors = ()
+    if len(vectors) == len(texts):
+        return [_pair_cosine(vectors[i : i + 2]) for i in range(0, len(texts), 2)]
+    out: list[float | None] = []
+    for pair in chunk:
+        try:
+            vectors = embedder(list(pair))
+        except AltgenError:
+            vectors = ()
+        out.append(_pair_cosine(vectors))
+    return out
+
+
 def corpus_metrics(
     pairs: Sequence[tuple[str, str]],
     embedder: Callable[[list[str]], list[Sequence[float]]],
@@ -181,9 +219,10 @@ def corpus_metrics(
 ) -> MetricReport:
     """Mean cosine and sentence BLEU over (candidate, reference) text pairs.
 
-    A pair whose embedding or scoring fails is excluded from that metric's
-    mean and counted in the report. err_percent is left unset; the pipeline
-    fills it from stored audit reports.
+    Pairs are embedded EMBED_CHUNK_PAIRS at a time, one embedder call per
+    chunk. A pair whose embedding or scoring fails is excluded from that
+    metric's mean and counted in the report. err_percent is left unset; the
+    pipeline fills it from stored audit reports.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
@@ -191,14 +230,13 @@ def corpus_metrics(
     bleus: list[float] = []
     embed_failures = 0
     bleu_failures = 0
+    for start in range(0, len(pairs), EMBED_CHUNK_PAIRS):
+        for value in _chunk_cosines(pairs[start : start + EMBED_CHUNK_PAIRS], embedder):
+            if value is None:
+                embed_failures += 1
+            else:
+                cosines.append(value)
     for candidate, reference in pairs:
-        try:
-            vectors = embedder([candidate, reference])
-            if len(vectors) != 2:
-                raise LengthMismatch(f"embedder returned {len(vectors)} vectors for 2 texts")
-            cosines.append(cosine_similarity(vectors[0], vectors[1]))
-        except AltgenError:
-            embed_failures += 1
         try:
             bleus.append(
                 bleu(tokenize(candidate), [tokenize(reference)], bleu_max_n, smoothing)

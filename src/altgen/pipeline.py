@@ -3,8 +3,9 @@ directories, with per-file parallelism and JSON/text reporting.
 
 Stage order per file is fixed: parse and audit, caption generation, metadata
 enrichment, reconstruction, re-audit. Captioning takes each content document
-in one pass: one parse, one context walk for all of its targets, then one
-splice of all their alts, checked once per document. A document that cannot
+in one pass: one parse, one context walk for all of its targets, one
+`generate_alts` call for all of their captions, then one splice of all their
+alts in document order, checked once per document. A document that cannot
 be repaired fails its file, never the batch. Files are independent; parallel
 runs produce the same per-file bytes as jobs=1. Setting ALTGEN_EPOCH freezes
 the timing clock so reports become byte-stable.
@@ -291,9 +292,8 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
                     continue
                 targets.append((occ, image_entry, media_type))
             contexts = document.contexts([occ.element_index for occ, _, _ in targets], pkg)
-            alts: dict[int, str] = {}
-            for occ, image_entry, media_type in targets:
-                request = CaptionRequest(
+            requests = [
+                CaptionRequest(
                     image_bytes=image_entry.data,
                     media_type=media_type,
                     context=contexts[occ.element_index],
@@ -301,14 +301,17 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
                     language=language,
                     source_name=posixpath.basename(occ.src),
                 )
-                try:
-                    candidate = backend.generate_alt(request)
-                except BackendError as exc:
+                for occ, image_entry, media_type in targets
+            ]
+            alts: dict[int, str] = {}
+            # results come back in request order, which is document order
+            for (occ, _, _), outcome in zip(targets, backend.generate_alts(requests)):
+                if isinstance(outcome, BackendError):
                     if config.strict:
-                        raise _StrictCaptionFailure(exc)
+                        raise _StrictCaptionFailure(outcome)
                     caption_failures += 1
                     continue
-                alts[occ.element_index] = candidate.alt_text
+                alts[occ.element_index] = outcome.alt_text
             if alts:
                 modified[item.href] = document.with_alts(alts)
                 alts_written += len(alts)
@@ -334,9 +337,7 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
             )
         )
 
-    ensemble = EnsembleConfig(
-        remote=backend if getattr(backend, "supports_language_detection", False) else None
-    )
+    ensemble = EnsembleConfig(remote=backend if backend.supports_language_detection else None)
     pkg_enriched, fixes = enrich_metadata(
         pkg,
         archive,

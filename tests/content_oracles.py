@@ -203,3 +203,32 @@ def repair(
         contexts[index] = context(data, index, title)
         data = set_alt(data, index, alts[index])
     return contexts, data
+
+
+def document_text(data: bytes, limit: int | None = None) -> str:
+    """The recursive walk: same text and same cut-off as
+    altgen.content.document_text, for documents of modest depth."""
+    root = parse_document(data)
+    parts: list[str] = []
+    total = 0
+
+    def walk(elem: ET.Element) -> bool:
+        nonlocal total
+        if not isinstance(elem.tag, str) or _localname(elem.tag) in _NO_TEXT_TAGS:
+            return True
+        if elem.text:
+            parts.append(elem.text)
+            total += len(elem.text)
+        for child in elem:
+            if not walk(child):
+                return False
+            if child.tail:
+                parts.append(child.tail)
+                total += len(child.tail)
+            if limit is not None and total > limit * 2:
+                return False
+        return True
+
+    walk(root)
+    text = normalize_ws(" ".join(parts))
+    return text if limit is None else text[:limit]

@@ -245,7 +245,9 @@ def make_book(
     return build_zip(entries)
 
 
-def book_with_chapter(chapter: bytes, image_names: list[str]) -> bytes:
+def book_with_chapter(
+    chapter: bytes, image_names: list[str], *, language: str | None = "en"
+) -> bytes:
     """A one-chapter book whose chapter bytes are given verbatim, packaging
     a PNG for each name under OEBPS/images/."""
     manifest = [("c1", "ch1.xhtml", "application/xhtml+xml")]
@@ -256,6 +258,6 @@ def book_with_chapter(chapter: bytes, image_names: list[str]) -> bytes:
     entries = [
         ("META-INF/container.xml", container_xml()),
         ("OEBPS/ch1.xhtml", chapter),
-        ("OEBPS/content.opf", opf(manifest=manifest, spine=["c1"])),
+        ("OEBPS/content.opf", opf(manifest=manifest, spine=["c1"], language=language)),
     ]
     return build_zip(entries + images)

@@ -8,6 +8,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 
 
 @dataclass
@@ -19,9 +20,12 @@ class Recorded:
 
 @dataclass
 class Script:
-    """Each queued item: (status, body_bytes). Empty queue means 200 {}."""
+    """Each queued item: (status, body_bytes, extra_headers). Once the queue
+    is empty, `respond(path, body)` gives (status, body_bytes) if set, else
+    the answer is 200 {}."""
 
     responses: deque = field(default_factory=deque)
+    respond: Callable[[str, bytes], tuple[int, bytes]] | None = None
     requests: list[Recorded] = field(default_factory=list)
     delay: float = 0.0
     active: int = 0
@@ -52,11 +56,16 @@ class MockBackendServer:
                             )
                         if script.delay:
                             time.sleep(script.delay)
+                        extra: dict[str, str] = {}
                         if script.responses:
-                            status, payload = script.responses.popleft()
+                            status, payload, extra = script.responses.popleft()
+                        elif script.respond is not None:
+                            status, payload = script.respond(self.path, body)
                         else:
                             status, payload = 200, b"{}"
                         self.send_response(status)
+                        for name, value in extra.items():
+                            self.send_header(name, value)
                         self.send_header("Content-Type", "application/json")
                         self.send_header("Content-Length", str(len(payload)))
                         self.end_headers()
@@ -79,10 +88,13 @@ class MockBackendServer:
         return f"http://{host}:{port}"
 
     def enqueue_json(self, status: int, payload) -> None:
-        self.script.responses.append((status, json.dumps(payload).encode("utf-8")))
+        self.script.responses.append((status, json.dumps(payload).encode("utf-8"), {}))
 
     def enqueue_raw(self, status: int, body: bytes) -> None:
-        self.script.responses.append((status, body))
+        self.script.responses.append((status, body, {}))
+
+    def enqueue_redirect(self, status: int, location: str) -> None:
+        self.script.responses.append((status, b"{}", {"Location": location}))
 
     def __enter__(self) -> "MockBackendServer":
         self.thread.start()
@@ -91,3 +103,20 @@ class MockBackendServer:
     def __exit__(self, *exc) -> None:
         self.server.shutdown()
         self.server.server_close()
+
+
+def figure_captions(failing: frozenset[int] = frozenset()):
+    """A `Script.respond` for /v1/caption: a figcaption ending in number k
+    gets the alt "Figure number k.", or a 500 when k is in `failing`. Figure
+    k is answered after (8 - k) * 10 ms, so the answers to a batch of up to
+    eight figures arrive in reverse order."""
+
+    def respond(path: str, body: bytes) -> tuple[int, bytes]:
+        k = int(json.loads(body)["context"]["figcaption"].rsplit(" ", 1)[1])
+        time.sleep(0.01 * max(0, 8 - k))
+        if k in failing:
+            return 500, json.dumps({"error": f"no caption for figure {k}"}).encode("utf-8")
+        payload = {"alt_text": f"Figure number {k}.", "confidence": 0.9}
+        return 200, json.dumps(payload).encode("utf-8")
+
+    return respond

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import socket
 import threading
@@ -7,7 +8,7 @@ import threading
 import pytest
 
 import epubgen
-from mockserver import MockBackendServer
+from mockserver import MockBackendServer, figure_captions
 from altgen.backend import (
     BackendRejected,
     BackendUnavailable,
@@ -16,6 +17,7 @@ from altgen.backend import (
     MalformedResponse,
     RemoteBackend,
     StubBackend,
+    TextTooLong,
     canonical_json,
     fit_to_length,
 )
@@ -149,8 +151,9 @@ class TestStubEmbeddings:
             StubBackend().embed_texts([])
 
     def test_oversized_text_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TextTooLong):
             StubBackend().embed_texts(["x" * 2001])
+        assert StubBackend().embed_texts(["x" * 2000]) == [[1.0]]
 
     def test_batch_shared_vocabulary(self):
         a1, _ = StubBackend().embed_texts(["a b", "a b c"])
@@ -352,3 +355,52 @@ class TestConcurrencyCap:
             assert not errors
             assert len(server.script.requests) == 8
             assert server.script.max_active <= 4
+
+
+class TestResponseHardening:
+    def test_body_over_the_cap_is_malformed(self, monkeypatch):
+        body = json.dumps({"lang": "fr", "confidence": 0.97}).encode("utf-8")
+        monkeypatch.setattr("altgen.backend.MAX_RESPONSE_BYTES", len(body))
+        with MockBackendServer() as server:
+            server.enqueue_raw(200, body)
+            server.enqueue_raw(200, body + b" ")
+            backend = RemoteBackend(server.url)
+            assert backend.detect_language("Bonjour tout le monde") == ("fr", 0.97)
+            with pytest.raises(MalformedResponse) as err:
+                backend.detect_language("Bonjour tout le monde")
+            assert f"exceeds {len(body)} bytes" in str(err.value)
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_rejected_not_followed(self, status):
+        with MockBackendServer() as server:
+            server.enqueue_redirect(status, server.url + "/v1/elsewhere")
+            sleeps: list[float] = []
+            backend = RemoteBackend(server.url, sleep=sleeps.append)
+            with pytest.raises(BackendRejected) as err:
+                backend.generate_alt(png_request())
+            assert str(status) in str(err.value)
+            assert [r.path for r in server.script.requests] == ["/v1/caption"]
+            assert sleeps == []
+
+
+class TestGenerateAlts:
+    def _requests(self, captions: list[str]) -> list[CaptionRequest]:
+        return [png_request(context=ContextBundle(figcaption=c)) for c in captions]
+
+    def test_remote_results_in_request_order_with_overlap(self):
+        captions = [f"Figure {k}" for k in range(8)]
+        with MockBackendServer() as server:
+            server.script.respond = figure_captions(frozenset({2}))
+            results = RemoteBackend(server.url).generate_alts(self._requests(captions))
+            assert [getattr(r, "alt_text", None) for r in results] == [
+                None if k == 2 else f"Figure number {k}." for k in range(8)
+            ]
+            assert isinstance(results[2], BackendRejected)
+            assert "no caption for figure 2" in str(results[2])
+            assert 1 < server.script.max_active <= 4
+
+    def test_stub_matches_generate_alt(self):
+        stub = StubBackend()
+        requests = self._requests(["a red fox", "harbour at dusk"])
+        assert stub.generate_alts(requests) == [stub.generate_alt(r) for r in requests]
+        assert stub.generate_alts([]) == []

@@ -185,7 +185,21 @@ class TestValidateCommand:
         assert "bleu=1.0000" in line
         assert "err_percent=100.0000" in line
         assert "n_pairs=2" in line
-        assert "missing_references=0" in line
+        assert "embed_failures=0 bleu_failures=0 missing_references=0" in line
+
+    def test_overlong_reference_fails_only_its_pair(self, tmp_path, capsys):
+        out, refs = self._repaired(tmp_path)
+        rows = json.loads(refs.read_text(encoding="utf-8"))
+        rows[0]["alt"] = "x" * 2001  # over the stub embedder's limit
+        refs.write_text(json.dumps(rows), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(out), "--references", str(refs)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        line = captured.out.strip()
+        assert "n_pairs=2" in line
+        assert "embed_failures=1" in line
+        assert "cosine=1.0000" in line
 
     def test_json_report(self, tmp_path, capsys):
         out, refs = self._repaired(tmp_path)

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import embed_oracles
 from metric_oracles import BLEU_CASES, COSINE_CASES
+from altgen.backend import BackendUnavailable, StubBackend
 from altgen.metrics import (
+    EMBED_CHUNK_PAIRS,
     EmptyCandidate,
     LengthMismatch,
     MetricReport,
@@ -275,3 +278,78 @@ class TestCorpusMetrics:
         assert d["cosine"] == 1.0
         assert d["err_percent"] == 97.5
         assert d["missing_references"] == 1
+
+
+_EMBED_WORDS = ["fox", "Fox,", "red", "dusk", "harbour", "café", "a", "the", "...", "!"]
+_embed_text = st.lists(st.sampled_from(_EMBED_WORDS), max_size=8).map(" ".join)
+# over the stub's 2000-character limit
+_OVERLONG = "w " * 1001
+
+
+@st.composite
+def embed_pairs(draw, unique: bool = False) -> list[tuple[str, str]]:
+    """Pairs spanning up to four chunks; some texts have no tokens, a few
+    are too long for the stub, and with `unique` every candidate differs."""
+    pairs = draw(st.lists(st.tuples(_embed_text, _embed_text), min_size=1, max_size=60))
+    overlong = draw(st.sets(st.integers(0, len(pairs) - 1), max_size=2))
+    pairs = [(c, _OVERLONG if k in overlong else r) for k, (c, r) in enumerate(pairs)]
+    if unique:
+        pairs = [(f"{c} n{k}", r) for k, (c, r) in enumerate(pairs)]
+    return pairs
+
+
+def _chunks(pairs):
+    return [pairs[i : i + EMBED_CHUNK_PAIRS] for i in range(0, len(pairs), EMBED_CHUNK_PAIRS)]
+
+
+class TestChunkedEmbedding:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=embed_pairs(), timings=st.lists(st.floats(0, 10), max_size=3))
+    def test_stub_matches_per_pair_reference(self, pairs, timings):
+        assert corpus_metrics(pairs, StubBackend().embed_texts, timings) == (
+            embed_oracles.corpus_metrics(pairs, embed_oracles.stub_embed, timings)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=embed_pairs(unique=True), mode=st.sampled_from(["raise", "short"]), data=st.data())
+    def test_failed_chunk_falls_back_to_pairs(self, pairs, mode, data):
+        chunks = _chunks(pairs)
+        chosen = data.draw(st.sets(st.integers(0, len(chunks) - 1)))
+        chunk_of = {tuple(t for pair in chunk for t in pair): k for k, chunk in enumerate(chunks)}
+        seen: set[int] = set()
+        calls: list[int] = []
+
+        def embedder(texts):
+            calls.append(len(texts))
+            k = chunk_of.get(tuple(texts))
+            if k is None or k in seen:
+                return StubBackend().embed_texts(texts)
+            seen.add(k)  # the chunk's own call; any later call is a pair's
+            if k not in chosen:
+                return StubBackend().embed_texts(texts)
+            if mode == "raise":
+                raise BackendUnavailable("chunk lost")
+            return StubBackend().embed_texts(texts)[:-1]
+
+        report = corpus_metrics(pairs, embedder)
+        assert report == embed_oracles.corpus_metrics(pairs, embed_oracles.stub_embed)
+        assert seen == set(range(len(chunks)))
+        assert len(calls) >= len(chunks) + sum(len(chunks[k]) for k in chosen)
+
+    def test_one_call_per_chunk(self):
+        pairs = [(f"a red fox {k}", "a red fox") for k in range(2 * EMBED_CHUNK_PAIRS + 1)]
+        calls: list[int] = []
+
+        def embedder(texts):
+            calls.append(len(texts))
+            return StubBackend().embed_texts(texts)
+
+        report = corpus_metrics(pairs, embedder)
+        assert calls == [32, 32, 2]
+        assert report.embed_failures == 0
+
+    def test_failure_charged_to_its_pair_only(self):
+        pairs = [("a red fox", "..."), ("a red fox", _OVERLONG), ("a red fox", "a red fox")]
+        report = corpus_metrics(pairs, StubBackend().embed_texts)
+        assert report.embed_failures == 2
+        assert report.cosine == 1.0

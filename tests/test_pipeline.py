@@ -43,9 +43,7 @@ def defective_kwargs() -> dict:
     )
 
 
-class _FailingBackend:
-    supports_language_detection = False
-
+class _FailingBackend(StubBackend):
     def generate_alt(self, request):
         raise BackendUnavailable("backend down")
 
@@ -271,6 +269,25 @@ class TestRunRepair:
         assert [r.status for r in results] == [FileStatus.REPAIRED, FileStatus.REPAIRED]
         assert results[0].alts_written == 1
         assert (out / REPORT_FILENAME).exists()
+        assert code == 0
+
+    def test_deeply_nested_book_without_language_repaired(self, tmp_path):
+        # the language sample walks this chapter's 3000 levels of nesting
+        prose = "The keeper climbed the tower every evening to light the great lamp."
+        depth = 3000
+        body = f'<p>{prose}</p><img src="images/a.png"/>'
+        chapter = page("<div>" * depth + body + "</div>" * depth)
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "deep.epub").write_bytes(
+            book_with_chapter(chapter, ["a.png"], language=None)
+        )
+        write_book(tmp_path / "in" / "good.epub", **defective_kwargs())
+        out = tmp_path / "out"
+        results, code = run_repair([tmp_path / "in"], PipelineConfig(jobs=1, output_dir=out))
+        deep = results[0]
+        assert [r.status for r in results] == [FileStatus.REPAIRED, FileStatus.REPAIRED]
+        assert deep.alts_written == 1
+        assert any(f.field == "dc:language" and f.new == "en" for f in deep.fixes)
         assert code == 0
 
     def test_name_collision_outputs(self, tmp_path):

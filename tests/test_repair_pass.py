@@ -16,7 +16,7 @@ import content_oracles
 import epubgen
 from altgen import content
 from altgen.container import ArchiveEntry
-from altgen.content import ContentDocument, extract_context, find_images
+from altgen.content import ContentDocument, document_text, extract_context, find_images
 from altgen.package import parse_opf
 from altgen.pipeline import FileStatus, PipelineConfig, run_repair
 
@@ -92,6 +92,54 @@ chapters = st.recursive(st.lists(st.just("<p>start</p>"), max_size=1), blocks, m
 alt_texts = st.text(
     alphabet=st.sampled_from("fox harbour & \" ' < > é"), min_size=1, max_size=20
 ).filter(str.strip)
+
+
+# Long whitespace runs make the raw text pass twice the limit while the
+# normalized text is still shorter than it, so the walk's cut-off shows.
+spaced_text = st.lists(
+    st.tuples(st.sampled_from(["fox", "lamp", "tide"]), st.integers(1, 40)), max_size=5
+).map(lambda ws: "".join(word + " " * k for word, k in ws))
+
+
+def text_blocks(inner):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["div", "p", "em", "script", "style"]), spaced_text, inner, spaced_text
+        ).map(lambda t: f"<{t[0]}>{t[1]}{''.join(t[2])}</{t[0]}>{t[3]}"),
+        max_size=4,
+    )
+
+
+spaced_chapters = st.recursive(st.lists(spaced_text, max_size=2), text_blocks, max_leaves=20).map(
+    lambda parts: epubgen.page("".join(parts))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    chapter=st.one_of(chapters, spaced_chapters),
+    limit=st.one_of(st.none(), st.integers(0, 80), st.integers(0, 3000)),
+)
+def test_document_text_matches_recursive_reference(chapter, limit):
+    entry = ArchiveEntry(path="OEBPS/ch1.xhtml", data=chapter)
+    assert document_text(entry, limit) == content_oracles.document_text(chapter, limit)
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        # the raw text is exactly twice the limit at the first close: go on
+        ("<p>a" + " " * 9 + "</p><p>b</p>", "a b"),
+        # one more character and the walk stops when that paragraph closes
+        ("<p>a" + " " * 10 + "</p><p>b</p>", "a"),
+        # past twice the limit, a skipped script without a tail still stops
+        ("<p>a" + " " * 10 + "<script>x</script><em>b</em></p>", "a"),
+    ],
+)
+def test_document_text_cut_off_edges(body, expected):
+    data = f"<html><body>{body}</body></html>".encode("utf-8")
+    entry = ArchiveEntry(path="OEBPS/ch1.xhtml", data=data)
+    assert document_text(entry, limit=5) == expected == content_oracles.document_text(data, 5)
 
 
 @settings(max_examples=150, deadline=None)
