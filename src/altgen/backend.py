@@ -8,11 +8,14 @@ failures: two retries with 0.5 s then 2 s backoff. Redirects are rejected,
 not followed, and a response body is read up to MAX_RESPONSE_BYTES.
 
 Both backends caption a batch with `generate_alts`, which returns results
-in request order. The remote client sends one document's caption requests
-together, at most DEFAULT_INFLIGHT_CAP (4) in flight per client across all
-workers; callers apply the results in document order, so output does not
-depend on which answer arrives first. Validation embeds up to 32 texts
-(16 reference pairs) per /v1/embed request.
+in request order, optionally stopping at the first failure. The remote
+client sends one document's caption requests together, at most
+DEFAULT_INFLIGHT_CAP (4) in flight at once. The cap is a semaphore: the
+pipeline makes one `multiprocessing` semaphore and hands it to the client
+in every worker process, so the cap holds across the whole run. Callers
+apply the results in document order, so output does not depend on which
+answer arrives first. Validation embeds up to 32 texts (16 reference pairs)
+per /v1/embed request.
 """
 
 from __future__ import annotations
@@ -126,6 +129,16 @@ def _attempt(generate, request: CaptionRequest) -> AltCandidate | BackendError:
         return exc
 
 
+def _until_failure(outcomes) -> list[AltCandidate | BackendError]:
+    """The outcomes up to and including the first BackendError."""
+    out = []
+    for outcome in outcomes:
+        out.append(outcome)
+        if isinstance(outcome, BackendError):
+            break
+    return out
+
+
 def fit_to_length(text: str, max_length: int) -> str:
     """Truncate at a word boundary and close with a period; result is
     non-empty and never longer than max_length."""
@@ -191,10 +204,14 @@ class StubBackend:
         alt = fit_to_length(" ".join(parts), request.max_length)
         return _validate_candidate(alt, 1.0, request.max_length, self.backend_id)
 
-    def generate_alts(self, requests: list[CaptionRequest]) -> list[AltCandidate | BackendError]:
+    def generate_alts(
+        self, requests: list[CaptionRequest], stop_on_error: bool = False
+    ) -> list[AltCandidate | BackendError]:
         """One result per request, in request order; a failed request yields
-        its BackendError."""
-        return [_attempt(self.generate_alt, request) for request in requests]
+        its BackendError. With stop_on_error the results end at the first
+        failure, and no later request is made."""
+        outcomes = (_attempt(self.generate_alt, request) for request in requests)
+        return _until_failure(outcomes) if stop_on_error else list(outcomes)
 
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
         if not texts:
@@ -244,7 +261,10 @@ class RemoteBackend:
     """HTTP client for the captioning service.
 
     Shareable across worker threads; a semaphore caps in-flight requests.
-    `sleep` is injectable so tests can verify backoff without waiting.
+    `gate` replaces the client's own semaphore with one shared by clients
+    in other processes, such as a `multiprocessing` semaphore made with
+    `inflight_cap` permits. `sleep` is injectable so tests can verify
+    backoff without waiting.
     """
 
     supports_language_detection = True
@@ -256,6 +276,7 @@ class RemoteBackend:
         timeout: float = 30.0,
         inflight_cap: int = DEFAULT_INFLIGHT_CAP,
         sleep=None,
+        gate=None,
     ) -> None:
         if not url:
             raise ValueError("remote backend requires a URL")
@@ -264,7 +285,7 @@ class RemoteBackend:
         self.timeout = timeout
         self.backend_id = self.url
         self.inflight_cap = inflight_cap
-        self._gate = threading.Semaphore(inflight_cap)
+        self._gate = gate if gate is not None else threading.Semaphore(inflight_cap)
         self._sleep = sleep if sleep is not None else time.sleep
         self._opener = urllib.request.build_opener(_RejectRedirects)
 
@@ -326,15 +347,36 @@ class RemoteBackend:
             raise MalformedResponse("confidence is not a number")
         return _validate_candidate(alt_text, confidence, request.max_length, self.backend_id)
 
-    def generate_alts(self, requests: list[CaptionRequest]) -> list[AltCandidate | BackendError]:
+    def generate_alts(
+        self, requests: list[CaptionRequest], stop_on_error: bool = False
+    ) -> list[AltCandidate | BackendError]:
         """One result per request, in request order; a failed request yields
         its BackendError. Requests run on up to `inflight_cap` threads, and
-        the shared semaphore still caps them across concurrent callers."""
+        the semaphore still caps them across concurrent callers.
+
+        With stop_on_error the results end at the first failure in request
+        order. Once request i fails, no request after i that has not started
+        is sent; those before i still run, so the failure returned is the
+        first in request order, whichever failed first in time."""
         attempt = functools.partial(_attempt, self.generate_alt)
         if len(requests) <= 1:
             return [attempt(request) for request in requests]
+        first_failure = len(requests)  # lowest failed index seen so far
+        lock = threading.Lock()
+
+        def run(i: int) -> AltCandidate | BackendError | None:
+            nonlocal first_failure
+            if i > first_failure:
+                return None  # never sent, and never read by _until_failure
+            outcome = attempt(requests[i])
+            if stop_on_error and isinstance(outcome, BackendError):
+                with lock:
+                    first_failure = min(first_failure, i)
+            return outcome
+
         with ThreadPoolExecutor(max_workers=min(self.inflight_cap, len(requests))) as pool:
-            return list(pool.map(attempt, requests))
+            outcomes = pool.map(run, range(len(requests)))
+            return _until_failure(outcomes) if stop_on_error else list(outcomes)
 
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
         if not texts:

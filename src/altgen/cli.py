@@ -81,7 +81,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="captioning backend: 'stub' or a service base URL "
         "(default: ALTGEN_BACKEND_URL or stub)",
     )
-    parser.add_argument("--jobs", type=int, metavar="N", help="parallel workers (default: CPUs)")
+    parser.add_argument(
+        "--jobs", type=int, metavar="N", help="parallel worker processes (default: CPUs)"
+    )
     parser.add_argument(
         "--report", dest="report_format", choices=("json", "text"), help="stdout report format"
     )

@@ -3,11 +3,14 @@ script-range rule member, and an optional remote member.
 
 Profiles are rank-ordered lists of the 300 most frequent character trigrams
 (letters plus space padding). Distance between two profiles is the classic
-out-of-place measure with penalty K for absent trigrams.
+out-of-place measure with penalty K for absent trigrams, summed over the
+trigrams the two share plus K for each sample trigram the profile lacks.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -50,6 +53,11 @@ class LanguageProfile:
         if len(self.ranked_trigrams) > PROFILE_SIZE:
             raise ValueError(f"profile {self.lang!r} exceeds {PROFILE_SIZE} trigrams")
 
+    @functools.cached_property
+    def ranks(self) -> dict[str, int]:
+        """Rank of each trigram, built once per profile."""
+        return _ranks(self.ranked_trigrams)
+
 
 @dataclass(frozen=True)
 class LanguageVote:
@@ -69,17 +77,16 @@ def normalize_text(text: str) -> str:
 
 
 def letter_count(text: str) -> int:
-    return sum(1 for ch in text if ch.isalpha())
+    return sum(map(str.isalpha, text))
 
 
 def trigram_counts(text: str) -> Counter:
     """Character trigrams of each word padded with spaces (' word ')."""
-    counts: Counter = Counter()
+    grams: list[str] = []
     for word in normalize_text(text).split():
         padded = f" {word} "
-        for i in range(len(padded) - 2):
-            counts[padded[i : i + 3]] += 1
-    return counts
+        grams.extend(padded[i : i + 3] for i in range(len(padded) - 2))
+    return Counter(grams)
 
 
 def rank_trigrams(counts: Counter, k: int = PROFILE_SIZE) -> tuple[str, ...]:
@@ -92,15 +99,24 @@ def profile_from_text(lang: str, text: str) -> LanguageProfile:
     return LanguageProfile(lang, rank_trigrams(trigram_counts(text)))
 
 
+def _ranks(grams: tuple[str, ...]) -> dict[str, int]:
+    return {gram: i for i, gram in enumerate(grams)}
+
+
+def _distance(sample: dict[str, int], reference: dict[str, int], penalty: int) -> int:
+    """Out-of-place distance between two rank dicts."""
+    hits = sample.keys() & reference.keys()
+    misses = len(sample) - len(hits)
+    return penalty * misses + sum(abs(sample[gram] - reference[gram]) for gram in hits)
+
+
 def out_of_place_distance(
     sample: tuple[str, ...], reference: tuple[str, ...], penalty: int = PROFILE_SIZE
 ) -> int:
-    ref_rank = {gram: i for i, gram in enumerate(reference)}
-    total = 0
-    for i, gram in enumerate(sample):
-        j = ref_rank.get(gram)
-        total += penalty if j is None else abs(i - j)
-    return total
+    """Sum over sample trigrams of the rank difference in the reference, or
+    `penalty` when the reference lacks it. Each tuple holds distinct
+    trigrams, as ranked profiles do."""
+    return _distance(_ranks(sample), _ranks(reference), penalty)
 
 
 def detect_statistical(text: str, profiles: list[LanguageProfile]) -> LanguageVote:
@@ -117,12 +133,12 @@ def detect_statistical(text: str, profiles: list[LanguageProfile]) -> LanguageVo
         raise TextTooShort(
             f"{letter_count(normalized)} letters after normalization, need {MIN_LETTERS}"
         )
-    sample = rank_trigrams(trigram_counts(normalized))
+    sample = _ranks(rank_trigrams(trigram_counts(normalized)))
     d_max = PROFILE_SIZE * PROFILE_SIZE
     best_lang: str | None = None
     best_distance = d_max + 1
     for profile in sorted(profiles, key=lambda p: p.lang):
-        d = out_of_place_distance(sample, profile.ranked_trigrams)
+        d = _distance(sample, profile.ranks, PROFILE_SIZE)
         if d < best_distance:
             best_distance = d
             best_lang = profile.lang
@@ -145,6 +161,10 @@ _SCRIPT_RANGES: tuple[tuple[int, int, str], ...] = (
     (0xAC00, 0xD7AF, "ko"),
     (0x0E00, 0x0E7F, "th"),
 )
+# any character in any of the ranges above
+_SCRIPT_CHARS = re.compile(
+    "[%s]" % "".join(f"{re.escape(chr(lo))}-{re.escape(chr(hi))}" for lo, hi, _ in _SCRIPT_RANGES)
+)
 
 
 def _script_of(ch: str) -> str | None:
@@ -157,6 +177,8 @@ def _script_of(ch: str) -> str | None:
 
 def detect_script(text: str) -> LanguageVote | None:
     """Vote when >= 90% of letters sit in one unambiguous non-Latin script."""
+    if _SCRIPT_CHARS.search(text) is None:
+        return None  # no character in any of the ranges, so no vote
     counts: Counter = Counter()
     total = 0
     for ch in text:
@@ -233,7 +255,7 @@ _EMBEDDED_LOCK = threading.Lock()
 def load_embedded_profiles() -> list[LanguageProfile]:
     """Profiles shipped with the package, loaded once.
 
-    Locked: parallel pipeline workers hit the first load concurrently."""
+    Locked: callers on several threads may hit the first load at once."""
     with _EMBEDDED_LOCK:
         if not _EMBEDDED_CACHE:
             root = resources.files(__package__) / "profiles"

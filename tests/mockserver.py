@@ -44,16 +44,15 @@ class MockBackendServer:
 
             def do_POST(self) -> None:
                 try:
+                    length = int(self.headers.get("Content-Length", "0"))
+                    body = self.rfile.read(length)
+                    # Active from the whole body read to before the answer
+                    # is sent, so the window lies inside the client's.
                     with script.lock:
                         script.active += 1
                         script.max_active = max(script.max_active, script.active)
+                        script.requests.append(Recorded(self.path, body, dict(self.headers)))
                     try:
-                        length = int(self.headers.get("Content-Length", "0"))
-                        body = self.rfile.read(length)
-                        with script.lock:
-                            script.requests.append(
-                                Recorded(self.path, body, dict(self.headers))
-                            )
                         if script.delay:
                             time.sleep(script.delay)
                         extra: dict[str, str] = {}
@@ -63,16 +62,16 @@ class MockBackendServer:
                             status, payload = script.respond(self.path, body)
                         else:
                             status, payload = 200, b"{}"
-                        self.send_response(status)
-                        for name, value in extra.items():
-                            self.send_header(name, value)
-                        self.send_header("Content-Type", "application/json")
-                        self.send_header("Content-Length", str(len(payload)))
-                        self.end_headers()
-                        self.wfile.write(payload)
                     finally:
                         with script.lock:
                             script.active -= 1
+                    self.send_response(status)
+                    for name, value in extra.items():
+                        self.send_header(name, value)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(payload)))
+                    self.end_headers()
+                    self.wfile.write(payload)
                 except (BrokenPipeError, ConnectionResetError):
                     pass
 

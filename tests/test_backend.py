@@ -4,6 +4,7 @@ import json
 import math
 import socket
 import threading
+import time
 
 import pytest
 
@@ -404,3 +405,58 @@ class TestGenerateAlts:
         requests = self._requests(["a red fox", "harbour at dusk"])
         assert stub.generate_alts(requests) == [stub.generate_alt(r) for r in requests]
         assert stub.generate_alts([]) == []
+
+    def test_remote_stop_on_error_ends_at_first_failure_in_order(self):
+        # figure 5 fails before figure 2 in time; figure 2 comes first in order
+        captions = [f"Figure {k}" for k in range(8)]
+        with MockBackendServer() as server:
+            server.script.respond = figure_captions(frozenset({2, 5}))
+            backend = RemoteBackend(server.url)
+            results = backend.generate_alts(self._requests(captions), stop_on_error=True)
+        assert [r.alt_text for r in results[:2]] == ["Figure number 0.", "Figure number 1."]
+        assert len(results) == 3
+        assert "no caption for figure 2" in str(results[2])
+
+    def test_stub_stop_on_error_makes_no_later_request(self, monkeypatch):
+        stub = StubBackend()
+        calls: list[str] = []
+
+        def generate(request):
+            calls.append(request.context.figcaption)
+            if request.context.figcaption == "b":
+                raise BackendRejected("refused")
+            return StubBackend.generate_alt(stub, request)
+
+        monkeypatch.setattr(stub, "generate_alt", generate)
+        results = stub.generate_alts(self._requests(["a", "b", "c"]), stop_on_error=True)
+        assert calls == ["a", "b"]
+        assert len(results) == 2 and isinstance(results[1], BackendRejected)
+        assert len(stub.generate_alts(self._requests(["a", "b", "c"]))) == 3
+
+    def test_shared_gate_is_used(self):
+        gate = threading.BoundedSemaphore(1)
+        with MockBackendServer() as server:
+            server.script.respond = figure_captions()
+            backend = RemoteBackend(server.url, gate=gate)
+            results = backend.generate_alts(self._requests([f"Figure {k}" for k in range(4)]))
+            assert server.script.max_active == 1
+        assert [r.alt_text for r in results] == [f"Figure number {k}." for k in range(4)]
+
+    def test_remote_stop_on_error_sends_nothing_after_a_failure(self):
+        captions = [f"Figure {k}" for k in range(8)]
+
+        def respond(path: str, body: bytes) -> tuple[int, bytes]:
+            if json.loads(body)["context"]["figcaption"] == "Figure 1":
+                return 500, b'{"error": "no caption for figure 1"}'
+            time.sleep(0.1)
+            return 200, b'{"alt_text": "Figure number 0.", "confidence": 0.9}'
+
+        with MockBackendServer() as server:
+            server.script.respond = respond
+            backend = RemoteBackend(server.url, inflight_cap=2)
+            results = backend.generate_alts(self._requests(captions), stop_on_error=True)
+            sent = [json.loads(r.body)["context"]["figcaption"] for r in server.script.requests]
+        # figure 1 fails while figure 0 is still in flight, so figure 2 never goes out
+        assert sorted(sent) == ["Figure 0", "Figure 1"]
+        assert results[0].alt_text == "Figure number 0."
+        assert "no caption for figure 1" in str(results[1]) and len(results) == 2

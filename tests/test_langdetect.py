@@ -37,6 +37,8 @@ from altgen.langdetect import (
 )
 from altgen.langdetect.builder import build_profiles, main as builder_main
 
+import langdetect_oracles as oracle
+
 SAMPLES_PATH = Path(__file__).parent / "data" / "lang_samples.json"
 
 # Long enough to clear the 40-letter floor in statistical tests.
@@ -417,3 +419,65 @@ class TestFixtureSet:
         samples = load_samples()
         text = samples["sv"][0]
         assert detect_language(text) == detect_language(text)
+
+
+# Characters where per-character and whole-string lowering differ ("İ", a
+# final "Σ"), lowering that changes length ("ß" stays, "İ" grows), combining
+# marks that are not letters, and letters of every scripted range.
+_EDGE_ALPHABET = st.sampled_from(
+    list("aZé ,.-'1²½\t\nİıΣσςßẞ\u0301\u0307\u05b0")
+    + list("Ωαβγשלוםกขคうみアイ한글ㄱᄀ漢字ﬀＡ\U0001d400")
+)
+_EDGE_TEXT = st.text(alphabet=_EDGE_ALPHABET, max_size=300) | st.text(max_size=300)
+_GRAMS = st.lists(st.text(min_size=1, max_size=3), max_size=60, unique=True)
+
+
+class TestAgainstOracle:
+    """The rank-dict distance, the intersection sum and the script pre-check
+    give exactly what the per-call loops in langdetect_oracles gave."""
+
+    @given(_EDGE_TEXT)
+    @settings(max_examples=300)
+    def test_normalize_and_count_equal(self, text):
+        assert normalize_text(text) == oracle.normalize_text(text)
+        assert letter_count(text) == oracle.letter_count(text)
+        assert trigram_counts(text) == oracle.trigram_counts(text)
+
+    @given(_EDGE_TEXT)
+    @settings(max_examples=300)
+    def test_script_vote_equal(self, text):
+        vote = detect_script(text)
+        assert (None if vote is None else (vote.lang, vote.confidence)) == oracle.detect_script(text)
+
+    @given(_GRAMS, _GRAMS, st.integers(min_value=1, max_value=PROFILE_SIZE))
+    def test_distance_equal(self, sample, reference, penalty):
+        assert out_of_place_distance(tuple(sample), tuple(reference), penalty) == (
+            oracle.out_of_place_distance(tuple(sample), tuple(reference), penalty)
+        )
+
+    @given(
+        st.lists(
+            st.sampled_from(["the", "und", "fox", "kissa", "δ", "İstanbul", "ßtraße", "42"]),
+            max_size=60,
+        ).map(" ".join)
+        | _EDGE_TEXT
+    )
+    @settings(max_examples=200)
+    def test_detect_language_equal(self, text):
+        profiles = load_embedded_profiles()
+        try:
+            got = detect_language(text)
+        except Undetermined:
+            got = None
+        assert got == oracle.detect_language(text, profiles)
+
+    def test_fixture_samples_equal(self):
+        profiles = load_embedded_profiles()
+        for texts in load_samples().values():
+            for text in texts:
+                assert detect_language(text) == oracle.detect_language(text, profiles)
+
+    def test_profile_ranks_built_once(self):
+        profile = load_embedded_profiles()[0]
+        assert profile.ranks is profile.ranks
+        assert profile.ranks == {g: i for i, g in enumerate(profile.ranked_trigrams)}

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,39 @@ def test_strict_fails_on_first_failure_in_document_order(tmp_path, capsys):
     assert lenient_code == 1
     assert row["status"] == "Repaired"
     assert (row["alts_written"], row["caption_failures"]) == (N_IMAGES - 2, 2)
+
+
+def _first_figure_fails(path: str, body: bytes) -> tuple[int, bytes]:
+    """Figure 0 fails at once; every other figure is answered after 50 ms."""
+    k = int(json.loads(body)["context"]["figcaption"].rsplit(" ", 1)[1])
+    if k == 0:
+        return 500, json.dumps({"error": "no caption for figure 0"}).encode("utf-8")
+    time.sleep(0.05)
+    return 200, json.dumps({"alt_text": f"Figure number {k}.", "confidence": 0.9}).encode("utf-8")
+
+
+def test_strict_cancels_captions_queued_after_a_failure(tmp_path, capsys):
+    book = _book(tmp_path / "book.epub")
+    with MockBackendServer() as server:
+        server.script.respond = _first_figure_fails
+        code, report = _repair(book, tmp_path / "strict", server, "--strict")
+        sent = {
+            json.loads(r.body)["context"]["figcaption"]
+            for r in server.script.requests
+            if r.path == "/v1/caption"
+        }
+    capsys.readouterr()
+    row = report["files"][0]
+    assert code == 2
+    assert row["status"] == "Failed"
+    assert row["reason"] == (
+        "backend failure with --strict: status 500: "
+        '{"error": "no caption for figure 0"}'
+    )
+    assert row["caption_failures"] == 1
+    # at most figures 1-3 started alongside figure 0; figures 4-7 were never sent
+    assert "Figure 0" in sent
+    assert sent <= {f"Figure {k}" for k in range(4)}
 
 
 def _hashed_embeddings(failing_text: str | None = None):
