@@ -1,25 +1,31 @@
 """Locate images in XHTML content documents, pull surrounding context, and
 splice alt attributes back in without disturbing the rest of the file.
 
-Parsing is strict XML first, lenient HTML second; alt writes operate on the
-source text (not a re-serialized DOM) so untouched markup keeps its bytes.
+One parse locates every image. Strict XML goes through expat into the tree
+ElementTree would build, and each image's start tag is located by the byte
+offset expat reports for it; tag soup goes through html.parser, which gives
+each image's start tag as it reads it. There is no second scan of the
+source: alt writes splice the source text (not a re-serialized DOM) at the
+start tags that parse located, so untouched markup keeps its bytes.
 
 Repair handles a document in a single pass (ContentDocument): it is decoded
 and parsed once, every target's context comes from one tree walk, every alt
 is spliced in one pass over the source text, and the result is checked once
 by re-parsing it: same image count, every written alt in place. Contexts come
 from the original document, since alt attributes never feed context text.
-find_images, extract_context and set_alt_text are the one-image forms of the
-same code.
+find_images, extract_context and set_alt_text are the one-image forms of
+ContentDocument.
 """
 
 from __future__ import annotations
 
 import codecs
+import functools
 import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
 from xml.etree import ElementTree as ET
+from xml.parsers import expat
 from xml.sax.saxutils import escape
 
 from altgen.container import ArchiveEntry
@@ -89,14 +95,73 @@ _VOID_TAGS = frozenset(
 )
 
 
+class _Document(ET.Element):
+    """The synthetic '#document' wrapper parse_document returns, with its
+    image elements in document order (`images`) and where each one's start
+    tag is in the source. A strict parse gives `starts`, the byte offset of
+    each start tag's '<' (for an image from an entity's replacement text, the
+    offset of the entity reference). A lenient parse gives `spans`, each
+    start tag's (first, last) character offsets in the decoded text."""
+
+    def __init__(self, images: list[ET.Element], starts=None, spans=None) -> None:
+        super().__init__("#document")
+        self.images = images
+        self.starts: list[int] | None = starts
+        self.spans: list[tuple[int, int]] | None = spans
+
+
+@functools.lru_cache(maxsize=1024)
+def _expat_name(name: str) -> tuple[str, bool]:
+    """(ElementTree name, whether an element of it is an image) of an expat
+    name, which is "uri}local" for a namespaced one."""
+    tag = "{" + name if "}" in name else name
+    return tag, _localname(tag) in _IMAGE_TAGS
+
+
+def _unexpanded_entity(*args) -> int:
+    # ElementTree rejects an entity reference expat cannot expand: an
+    # undefined one under an external DTD, or an external one
+    raise expat.ExpatError("undefined or external entity")
+
+
+def _parse_xml(data: bytes) -> _Document:
+    """The tree ET.fromstring(data) builds, under a _Document. Raises
+    expat.ExpatError where ET.fromstring raises ParseError."""
+    builder = ET.TreeBuilder()
+    parser = expat.ParserCreate(None, "}")
+    parser.buffer_text = True
+    images: list[ET.Element] = []
+    starts: list[int] = []
+
+    def start(name: str, attrs: dict[str, str]) -> None:
+        tag, image = _expat_name(name)
+        if attrs:
+            attrs = {_expat_name(key)[0]: value for key, value in attrs.items()}
+        elem = builder.start(tag, attrs)
+        if image:
+            images.append(elem)
+            starts.append(parser.CurrentByteIndex)
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = builder.end
+    parser.CharacterDataHandler = builder.data
+    parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = _unexpanded_entity
+    parser.Parse(data, True)
+    document = _Document(images, starts=starts)
+    document.append(builder.close())
+    return document
+
+
 class _LenientBuilder(HTMLParser):
     """Builds an ElementTree from tag soup; mismatched end tags are dropped,
-    void elements never stay open."""
+    void elements never stay open. `root` is a _Document."""
 
-    def __init__(self) -> None:
+    def __init__(self, text: str) -> None:
         super().__init__(convert_charrefs=True)
-        self.root = ET.Element("#document")
-        self._stack = [self.root]
+        self.root = _Document([], spans=[])
+        self._stack: list[ET.Element] = [self.root]
+        # offset in `text`, which will be fed, of each line getpos() counts
+        self._lines = [0, *(match.end() for match in re.finditer("\n", text))]
 
     @staticmethod
     def _attr_dict(attrs: list[tuple[str, str | None]]) -> dict[str, str]:
@@ -105,13 +170,22 @@ class _LenientBuilder(HTMLParser):
             out.setdefault(key, value if value is not None else "")
         return out
 
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
+    def _element(self, tag: str, attrs: list[tuple[str, str | None]]) -> ET.Element:
         elem = ET.SubElement(self._stack[-1], tag, self._attr_dict(attrs))
+        if _localname(tag) in _IMAGE_TAGS:
+            line, column = self.getpos()
+            start = self._lines[line - 1] + column
+            self.root.images.append(elem)
+            self.root.spans.append((start, start + len(self.get_starttag_text()) - 1))
+        return elem
+
+    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
+        elem = self._element(tag, attrs)
         if tag not in _VOID_TAGS:
             self._stack.append(elem)
 
     def handle_startendtag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        ET.SubElement(self._stack[-1], tag, self._attr_dict(attrs))
+        self._element(tag, attrs)
 
     def handle_endtag(self, tag: str) -> None:
         for i in range(len(self._stack) - 1, 0, -1):
@@ -162,20 +236,18 @@ def decode_document(data: bytes) -> str:
     return _decode(data)[0]
 
 
-def parse_document(data: bytes, text: str | None = None) -> ET.Element:
+def parse_document(data: bytes, text: str | None = None) -> _Document:
     """Parse strict XML, falling back to lenient HTML. Returns a synthetic
-    '#document' wrapper element. `text` is `data` already decoded, when the
-    caller has it. Raises UnparseableDocument."""
+    '#document' wrapper element, which also lists the image elements and
+    locates their start tags (_Document). `text` is `data` already decoded,
+    when the caller has it. Raises UnparseableDocument."""
     if text is None:
         text = decode_document(data)
     try:
-        root = ET.fromstring(data)
-        wrapper = ET.Element("#document")
-        wrapper.append(root)
-        return wrapper
-    except ET.ParseError:
+        return _parse_xml(data)
+    except (expat.ExpatError, LookupError, ValueError):  # or an encoding expat cannot read
         pass
-    builder = _LenientBuilder()
+    builder = _LenientBuilder(text)
     try:
         builder.feed(text)
         builder.close()
@@ -184,34 +256,22 @@ def parse_document(data: bytes, text: str | None = None) -> ET.Element:
     return builder.root
 
 
-def _iter_image_elements(root: ET.Element) -> list[ET.Element]:
-    out = []
-    for elem in root.iter():
-        if isinstance(elem.tag, str) and _localname(elem.tag) in _IMAGE_TAGS:
-            out.append(elem)
-    return out
-
-
-def _is_decorative(elem: ET.Element) -> bool:
-    role = _attr_by_localname(elem, "role") or ""
-    return any(token in ("presentation", "none") for token in role.split())
-
-
-def _occurrences(root: ET.Element, doc_path: str) -> list[ImageOccurrence]:
+def _occurrences(root: _Document, doc_path: str) -> list[ImageOccurrence]:
     base_dir = doc_path.rsplit("/", 1)[0] if "/" in doc_path else ""
     occurrences = []
-    for index, elem in enumerate(_iter_image_elements(root)):
+    for index, elem in enumerate(root.images):
         if _localname(elem.tag) == "img":
             src = elem.get("src", "")
         else:
             src = _attr_by_localname(elem, "href") or ""
+        role = _attr_by_localname(elem, "role") or ""
         occurrences.append(
             ImageOccurrence(
                 doc_path=doc_path,
                 element_index=index,
                 src=resolve_href(base_dir, src) if src else "",
                 existing_alt=_attr_by_localname(elem, "alt"),
-                decorative=_is_decorative(elem),
+                decorative=any(token in ("presentation", "none") for token in role.split()),
             )
         )
     return occurrences
@@ -223,7 +283,7 @@ def find_images(doc: ArchiveEntry, doc_path: str | None = None) -> list[ImageOcc
     src is resolved against the document's directory (absolute URLs kept
     verbatim). Raises UnparseableDocument.
     """
-    return _occurrences(parse_document(doc.data), doc.path if doc_path is None else doc_path)
+    return ContentDocument(doc, doc_path).images
 
 
 def _text_of(elem: ET.Element) -> str:
@@ -401,12 +461,8 @@ def extract_context(
     Raises StaleOccurrence when the index no longer exists, and
     UnparseableDocument.
     """
-    index = _ContextIndex(parse_document(doc.data))
-    if occurrence.element_index >= len(index.images):
-        raise StaleOccurrence(
-            f"{occurrence.doc_path}: image index {occurrence.element_index} out of range"
-        )
-    return index.context(occurrence.element_index, _title(pkg))
+    index = occurrence.element_index
+    return ContentDocument(doc, occurrence.doc_path).contexts([index], pkg)[index]
 
 
 def document_text(doc: ArchiveEntry, limit: int | None = None) -> str:
@@ -458,61 +514,9 @@ def document_text(doc: ArchiveEntry, limit: int | None = None) -> str:
 # --- alt attribute splicing over raw source text ---
 
 _TAG_NAME_RE = re.compile(r"<([A-Za-z][^\s/>]*)")
-_ATTR_RE = re.compile(
-    r"""([^\s=/>"']+)(\s*=\s*("[^"]*"|'[^']*'|[^\s>]*))?"""
-)
-
-
-def _iter_start_tags(text: str):
-    """Yields (name, start, end) for each start tag; end is the index of '>'.
-    Comments, CDATA, doctypes, processing instructions, and end tags skipped."""
-    i, n = 0, len(text)
-    while i < n:
-        lt = text.find("<", i)
-        if lt < 0:
-            return
-        if text.startswith("<!--", lt):
-            close = text.find("-->", lt + 4)
-            i = n if close < 0 else close + 3
-            continue
-        if text.startswith("<![CDATA[", lt):
-            close = text.find("]]>", lt + 9)
-            i = n if close < 0 else close + 3
-            continue
-        if text.startswith("<!", lt) or text.startswith("</", lt):
-            close = text.find(">", lt + 2)
-            i = n if close < 0 else close + 1
-            continue
-        if text.startswith("<?", lt):
-            close = text.find("?>", lt + 2)
-            i = n if close < 0 else close + 2
-            continue
-        match = _TAG_NAME_RE.match(text, lt)
-        if not match:
-            i = lt + 1
-            continue
-        j = match.end()
-        quote = None
-        end = -1
-        while j < n:
-            ch = text[j]
-            if quote:
-                if ch == quote:
-                    quote = None
-            elif ch in ('"', "'"):
-                quote = ch
-            elif ch == ">":
-                end = j
-                break
-            j += 1
-        if end < 0:
-            return
-        yield match.group(1), lt, end
-        i = end + 1
-
-
-def _escape_attr_value(value: str) -> str:
-    return escape(value, {'"': "&quot;"})
+_ATTR_RE = re.compile(r"""([^\s=/>"']+)(\s*=\s*("[^"]*"|'[^']*'|[^\s>]*))?""")
+# a whole well-formed start tag, matched where the strict parse says one begins
+_XML_START_TAG_RE = re.compile(r"""<[^\s/>]+(?:\s+[^\s=/>]+\s*=\s*(?:"[^"]*"|'[^']*'))*\s*/?>""")
 
 
 def _alt_tag_body(text: str, tag_start: int, tag_end: int, alt: str) -> tuple[int, int, str]:
@@ -521,7 +525,7 @@ def _alt_tag_body(text: str, tag_start: int, tag_end: int, alt: str) -> tuple[in
     body_start = _TAG_NAME_RE.match(text, tag_start).end()
     body_end = tag_end - 1 if text[tag_end - 1] == "/" else tag_end
     body = text[body_start:body_end]
-    replacement = f'alt="{_escape_attr_value(alt)}"'
+    replacement = 'alt="%s"' % escape(alt, {'"': "&quot;"})
     for match in _ATTR_RE.finditer(body):
         if match.group(1).lower() == "alt":
             return body_start, body_end, body[: match.start()] + replacement + body[match.end() :]
@@ -530,62 +534,12 @@ def _alt_tag_body(text: str, tag_start: int, tag_end: int, alt: str) -> tuple[in
     return body_start, body_end, body + " " + replacement
 
 
-def _splice_alts(text: str, alts: dict[int, str], doc_path: str) -> str:
-    """Set alt on the image start tags numbered by `alts`, in one pass over
-    the source text; every byte outside those tags is kept. Raises
-    StaleOccurrence for an index with no image start tag."""
-    last = max(alts)
-    spans = []
-    for name, start, end in _iter_start_tags(text):
-        if name.rsplit(":", 1)[-1].lower() in _IMAGE_TAGS:
-            spans.append((start, end))
-            if len(spans) > last:
-                break
-    out = []
-    pos = 0
-    for index in sorted(alts):
-        if not 0 <= index < len(spans):
-            raise StaleOccurrence(f"{doc_path}: image index {index} not found")
-        body_start, body_end, body = _alt_tag_body(text, *spans[index], alts[index])
-        out += (text[pos:body_start], body)
-        pos = body_end
-    out.append(text[pos:])
-    return "".join(out)
-
-
-def _check_alt(alt: str, occurrence: ImageOccurrence) -> None:
-    if alt == "" and not occurrence.decorative:
-        raise ValueError("empty alt is only allowed for decorative images")
-
-
-def _verified(
-    doc: ArchiveEntry, data: bytes, n_images: int, alts: dict[int, str], doc_path: str
-) -> ArchiveEntry:
-    """`doc` with `data`, once a re-parse shows `n_images` images and every
-    alt in place. Raises RewriteFailed otherwise."""
-    images = _iter_image_elements(parse_document(data))
-    if len(images) != n_images or any(
-        index >= len(images) or _attr_by_localname(images[index], "alt") != alt
-        for index, alt in alts.items()
-    ):
-        raise RewriteFailed(f"{doc_path}: alt splice verification failed")
-    return doc.with_data(data)
-
-
 def set_alt_text(doc: ArchiveEntry, occurrence: ImageOccurrence, alt: str) -> ArchiveEntry:
     """Set the alt attribute on exactly the occurrence's element, splicing
-    the source text so every other byte's semantics survive.
-
-    Returns a new entry marked modified. Raises StaleOccurrence when the
-    element index no longer exists, UnparseableDocument on undecodable input,
-    RewriteFailed if post-write verification disagrees.
-    """
-    _check_alt(alt, occurrence)
-    text, codec, bom = _decode(doc.data)
-    alts = {occurrence.element_index: alt}
-    data = bom + _splice_alts(text, alts, occurrence.doc_path).encode(codec, "xmlcharrefreplace")
-    n_images = len(find_images(doc, occurrence.doc_path))
-    return _verified(doc, data, n_images, alts, occurrence.doc_path)
+    the source text so every other byte's semantics survive. Returns a new
+    entry marked modified; raises UnparseableDocument on undecodable input,
+    and otherwise as ContentDocument.with_alts does."""
+    return ContentDocument(doc, occurrence.doc_path).with_alts({occurrence.element_index: alt})
 
 
 class ContentDocument:
@@ -594,33 +548,76 @@ class ContentDocument:
     `images` are its occurrences, as find_images gives them. `contexts`
     builds the context of any number of them in one tree walk, and
     `with_alts` splices any number of alts in one pass over the source text,
-    then checks the result with one re-parse. Raises UnparseableDocument.
+    at the start tags the parse located, then checks the result with one
+    re-parse. Raises UnparseableDocument.
     """
 
     def __init__(self, doc: ArchiveEntry, doc_path: str | None = None) -> None:
         self.doc = doc
         self.doc_path = doc.path if doc_path is None else doc_path
         self._text, self._codec, self._bom = _decode(doc.data)
-        self._root: ET.Element | None = parse_document(doc.data, self._text)
-        self.images = _occurrences(self._root, self.doc_path)
+        root = parse_document(doc.data, self._text)
+        self._root: _Document | None = root
+        self._starts, self._spans = root.starts, root.spans
+        self.images = _occurrences(root, self.doc_path)
+
+    def _check_index(self, index: int) -> None:
+        if not 0 <= index < len(self.images):
+            raise StaleOccurrence(f"{self.doc_path}: image index {index} not found")
 
     def contexts(self, indices: list[int], pkg: PackageDocument) -> dict[int, ContextBundle]:
-        """Context of each image in `indices`, exactly as extract_context
-        gives it. Releases the parsed tree, so call it once."""
+        """Context of each image in `indices`, as extract_context gives it.
+        Releases the parsed tree, so call it once. Raises StaleOccurrence."""
         root, self._root = self._root, None
         if not indices:
             return {}
+        for i in indices:
+            self._check_index(i)
         index = _ContextIndex(root)
         title = _title(pkg)
         return {i: index.context(i, title) for i in indices}
 
+    def _tag_spans(self, indices: list[int]) -> list[tuple[int, int]]:
+        """(first, last) character offsets of each indexed image's start tag,
+        for ascending `indices`. Raises DocumentError for an image that has
+        no start tag of its own in the source."""
+        if self._spans is not None:
+            return [self._spans[i] for i in indices]
+        spans, at, pos = [], len(self._bom), 0
+        for i in indices:
+            # "replace": a codec other than the one expat read the bytes with
+            # gives wrong offsets, not an error; the match below and the
+            # re-parse in with_alts stop those
+            pos += len(self.doc.data[at : self._starts[i]].decode(self._codec, "replace"))
+            at = self._starts[i]
+            match = _XML_START_TAG_RE.match(self._text, pos)
+            if match is None:
+                raise DocumentError(f"{self.doc_path}: image index {i} has no start tag")
+            spans.append((pos, match.end() - 1))
+        return spans
+
     def with_alts(self, alts: dict[int, str]) -> ArchiveEntry:
         """A modified copy of the entry with each image index in `alts` given
-        its alt. Raises StaleOccurrence and RewriteFailed as set_alt_text
-        does; on failure nothing is returned."""
+        its alt. Raises StaleOccurrence for an index with no image,
+        DocumentError for an image with no start tag of its own, and
+        RewriteFailed when the re-parse disagrees; on failure nothing is
+        returned."""
         for index, alt in alts.items():
-            _check_alt(alt, self.images[index])
+            self._check_index(index)
+            if alt == "" and not self.images[index].decorative:
+                raise ValueError("empty alt is only allowed for decorative images")
         self._root = None
-        text = _splice_alts(self._text, alts, self.doc_path)
-        data = self._bom + text.encode(self._codec, "xmlcharrefreplace")
-        return _verified(self.doc, data, len(self.images), alts, self.doc_path)
+        indices, text = sorted(alts), self._text
+        out, pos = [], 0
+        for index, (start, end) in zip(indices, self._tag_spans(indices)):
+            body_start, body_end, body = _alt_tag_body(text, start, end, alts[index])
+            out += (text[pos:body_start], body)
+            pos = body_end
+        out.append(text[pos:])
+        data = self._bom + "".join(out).encode(self._codec, "xmlcharrefreplace")
+        images = parse_document(data).images
+        if len(images) != len(self.images) or any(
+            _attr_by_localname(images[index], "alt") != alt for index, alt in alts.items()
+        ):
+            raise RewriteFailed(f"{self.doc_path}: alt splice verification failed")
+        return self.doc.with_data(data)

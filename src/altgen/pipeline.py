@@ -373,7 +373,6 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
                 FileStatus.FAILED,
                 pre_report=pre,
                 fixes=fixes,
-                alts_written=alts_written,
                 caption_failures=caption_failures,
                 failure_reason=str(exc),
             )

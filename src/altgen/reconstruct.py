@@ -121,7 +121,7 @@ def integrity_check(archive: EpubArchive, pkg: PackageDocument) -> list[Integrit
         if entry.path in xhtml_hrefs or ext in (".xhtml", ".html", ".htm"):
             try:
                 ET.fromstring(entry.data)
-            except ET.ParseError:
+            except (ET.ParseError, LookupError, ValueError):  # or an encoding expat cannot read
                 findings.append(_finding(FindingCode.MALFORMED_MODIFIED_DOC, entry.path))
 
     findings.sort(key=lambda f: (f.path, f.code.value))

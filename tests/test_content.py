@@ -7,6 +7,7 @@ import pytest
 import epubgen
 from altgen.container import ArchiveEntry
 from altgen.content import (
+    ContentDocument,
     ContextBundle,
     ImageOccurrence,
     RewriteFailed,
@@ -310,6 +311,10 @@ class TestSetAltText:
         )
         with pytest.raises(StaleOccurrence):
             set_alt_text(d, occ, "text")
+
+    def test_with_alts_past_the_last_image_is_stale(self):
+        with pytest.raises(StaleOccurrence):
+            ContentDocument(doc('<img src="a.png"/>')).with_alts({3: "A fox in snow"})
 
     def test_case_insensitive_tag_names(self):
         raw = ArchiveEntry(

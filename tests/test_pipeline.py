@@ -249,18 +249,47 @@ class TestRunRepair:
         assert code == 2
 
     def test_rewrite_failure_fails_only_its_book(self, tmp_path):
-        # the tokenizer takes the <img inside the script for the first image,
-        # so the post-splice check finds the real image still without alt
+        # tag soup with an "<img" string inside a script: the alt goes on the
+        # real image, but the written chapter is still not well-formed XML
         chapter = (
             b'<html><body><p>soup<script>var s = "<img src=q>";</script>'
             b'<img src="images/a.png"></body></html>'
         )
-        self._assert_isolated(*self._batch_with(tmp_path, chapter), "verification failed")
+        self._assert_isolated(*self._batch_with(tmp_path, chapter), "MalformedModifiedDoc")
 
     def test_stale_occurrence_fails_only_its_book(self, tmp_path):
-        # an unterminated quote hides the image from the tokenizer
+        # tag soup with an unterminated quote, likewise not well-formed
         chapter = b"<html><body><p title='x>text</p><img src=\"images/a.png\"></body></html>"
-        self._assert_isolated(*self._batch_with(tmp_path, chapter), "not found")
+        self._assert_isolated(*self._batch_with(tmp_path, chapter), "MalformedModifiedDoc")
+
+    def test_multibyte_declared_encoding_fails_only_its_book(self, tmp_path):
+        # expat reads no multi-byte encoding but UTF-8 and UTF-16: the chapter
+        # is parsed leniently, and the written one cannot be checked as XML
+        chapter = page('<p>日本</p><img src="images/a.png"/>').decode("utf-8")
+        chapter = chapter.replace("UTF-8", "Shift_JIS").encode("shift_jis")
+        self._assert_isolated(*self._batch_with(tmp_path, chapter), "MalformedModifiedDoc")
+
+    def test_image_from_internal_entity_left_alone(self, tmp_path):
+        # the entity's decorative image and the real one are two images of
+        # one parse; only the real one has a start tag, and only it is targeted
+        chapter = page('<p>x &rule; y</p><img src="images/a.png"/>').replace(
+            b"<!DOCTYPE html>",
+            b"<!DOCTYPE html [<!ENTITY rule \"<img src='images/a.png' alt='' "
+            b"role='presentation'/>\">]>",
+        )
+        results, code, out = self._batch_with(tmp_path, chapter)
+        assert [r.status for r in results] == [FileStatus.REPAIRED, FileStatus.REPAIRED]
+        assert results[0].alts_written == 1
+        repaired = open_epub((out / "bad.epub").read_bytes()).entry("OEBPS/ch1.xhtml")
+        decorative, real = find_images(repaired)
+        assert decorative.existing_alt == "" and real.existing_alt.startswith("Image: a.")
+        assert repaired.data.replace(f' alt="{real.existing_alt}"'.encode(), b"") == chapter
+
+    def test_target_from_entity_text_fails_only_its_book(self, tmp_path):
+        chapter = page("<p>x &fig; y</p>").replace(
+            b"<!DOCTYPE html>", b"<!DOCTYPE html [<!ENTITY fig \"<img src='images/a.png'/>\">]>"
+        )
+        self._assert_isolated(*self._batch_with(tmp_path, chapter), "has no start tag")
 
     def test_utf16_chapter_repaired(self, tmp_path):
         text = page('<img src="images/a.png"/>').decode("utf-8").replace("UTF-8", "UTF-16")
