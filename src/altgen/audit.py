@@ -10,9 +10,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator, Mapping
 
-from altgen.container import EpubArchive
-from altgen.content import UnparseableDocument, find_images
+from altgen.container import ArchiveEntry, EpubArchive
+from altgen.content import ImageOccurrence, UnparseableDocument, find_images
 from altgen.package import (
     MetaKind,
     PackageDocument,
@@ -118,8 +119,36 @@ def is_well_formed_language_tag(tag: str) -> bool:
     return bool(tag) and _TAG_RE.match(tag) is not None
 
 
-def audit(archive: EpubArchive, pkg: PackageDocument) -> AuditReport:
+def content_documents(
+    archive: EpubArchive, pkg: PackageDocument
+) -> Iterator[tuple[str, ArchiveEntry]]:
+    """(href, entry) of each XHTML manifest item the archive holds, in
+    manifest order: the documents an audit scans."""
+    for item in pkg.manifest:
+        if item.media_type in XHTML_MEDIA_TYPES:
+            entry = archive.entry(item.href)
+            # integrity_check owns dangling manifest hrefs
+            if entry is not None:
+                yield item.href, entry
+
+
+def _find_images(entry: ArchiveEntry, href: str) -> list[ImageOccurrence] | None:
+    try:
+        return find_images(entry, href)
+    except UnparseableDocument:
+        return None
+
+
+def audit(
+    archive: EpubArchive,
+    pkg: PackageDocument,
+    images: Mapping[str, list[ImageOccurrence] | None] | None = None,
+) -> AuditReport:
     """Run every rule over the archive and package document.
+
+    `images` gives, by href, the images of every document in
+    content_documents, as find_images finds them, and None for a document
+    that cannot be parsed; without it, each document is parsed here.
 
     Deterministic: issues sorted by (doc_path, element_index, code). Never
     raises for document content; unparseable documents produce one Warning.
@@ -127,21 +156,14 @@ def audit(archive: EpubArchive, pkg: PackageDocument) -> AuditReport:
     issues: list[Issue] = []
     files_scanned = 0
 
-    for item in pkg.manifest:
-        if item.media_type not in XHTML_MEDIA_TYPES:
-            continue
-        entry = archive.entry(item.href)
-        if entry is None:
-            # integrity_check owns dangling manifest hrefs
-            continue
+    for href, entry in content_documents(archive, pkg):
         files_scanned += 1
-        try:
-            occurrences = find_images(entry, item.href)
-        except UnparseableDocument:
+        occurrences = _find_images(entry, href) if images is None else images[href]
+        if occurrences is None:
             issues.append(
                 _issue(
                     IssueCode.UNPARSEABLE_DOCUMENT,
-                    item.href,
+                    href,
                     None,
                     "document could not be parsed",
                 )

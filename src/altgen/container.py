@@ -79,9 +79,12 @@ class ArchiveEntry:
     modified: bool = False
     # ZIP dos-format timestamp; preserved on round-trip, epoch for new entries.
     date_time: tuple[int, int, int, int, int, int] = (1980, 1, 1, 0, 0, 0)
+    # whether `data` is well-formed XML, when a strict parse of exactly these
+    # bytes has already told; None when none has
+    well_formed: bool | None = field(default=None, compare=False, repr=False)
 
-    def with_data(self, data: bytes) -> "ArchiveEntry":
-        return replace(self, data=data, modified=True)
+    def with_data(self, data: bytes, well_formed: bool | None = None) -> "ArchiveEntry":
+        return replace(self, data=data, modified=True, well_formed=well_formed)
 
 
 @dataclass

@@ -11,14 +11,17 @@ start tags that parse located, so untouched markup keeps its bytes.
 Repair handles a document in a single pass (ContentDocument): it is decoded
 and parsed once, every target's context comes from one tree walk, every alt
 is spliced in one pass over the source text, and the result is checked once
-by re-parsing it: same image count, every written alt in place. Contexts come
-from the original document, since alt attributes never feed context text.
-find_images, extract_context and set_alt_text are the one-image forms of
-ContentDocument.
+by re-parsing it: same image count, every written alt in place. That
+re-parse also gives the written document's images and whether it is
+well-formed XML, so nothing parses it again. Contexts come from the original
+document, since alt attributes never feed context text. find_images,
+extract_context, set_alt_text and document_text are the one-image or
+one-use forms of ContentDocument and VisibleText.
 """
 
 from __future__ import annotations
 
+import bisect
 import codecs
 import functools
 import re
@@ -236,6 +239,11 @@ def decode_document(data: bytes) -> str:
     return _decode(data)[0]
 
 
+# what a strict parse raises for bytes that are not well-formed XML, or in
+# an encoding expat cannot read
+_NOT_STRICT_XML = (expat.ExpatError, LookupError, ValueError)
+
+
 def parse_document(data: bytes, text: str | None = None) -> _Document:
     """Parse strict XML, falling back to lenient HTML. Returns a synthetic
     '#document' wrapper element, which also lists the image elements and
@@ -245,7 +253,7 @@ def parse_document(data: bytes, text: str | None = None) -> _Document:
         text = decode_document(data)
     try:
         return _parse_xml(data)
-    except (expat.ExpatError, LookupError, ValueError):  # or an encoding expat cannot read
+    except _NOT_STRICT_XML:
         pass
     builder = _LenientBuilder(text)
     try:
@@ -465,50 +473,74 @@ def extract_context(
     return ContentDocument(doc, occurrence.doc_path).contexts([index], pkg)[index]
 
 
-def document_text(doc: ArchiveEntry, limit: int | None = None) -> str:
+class VisibleText:
     """Whole-document visible text, whitespace-normalized; script/style
-    content excluded. Raises UnparseableDocument.
+    content excluded. `text(limit)` gives what document_text gives for any
+    limit up to the one the walk was made with (None: no limit).
 
     The walk keeps its own stack, so nesting depth is not bounded by the
     interpreter's recursion limit. With `limit`, it stops once the raw text
-    passes twice the limit, checked after each child's tail."""
-    root = parse_document(doc.data)
-    parts: list[str] = []
-    total = 0
+    passes twice the limit, checked after each child's tail. Each check is
+    recorded, so a smaller limit cuts where its own walk would have stopped.
+    """
 
-    def opened(elem: ET.Element) -> bool:
-        """Takes the element's own text, unless its content is not shown."""
-        nonlocal total
-        if not isinstance(elem.tag, str) or _localname(elem.tag) in _NO_TEXT_TAGS:
-            return False
-        if elem.text:
-            parts.append(elem.text)
-            total += len(elem.text)
-        return True
+    def __init__(self, root: ET.Element, limit: int | None = None) -> None:
+        self._limit = limit
+        self._parts: list[str] = []
+        # raw characters taken, and parts, at each check
+        self._totals: list[int] = []
+        self._counts: list[int] = []
+        parts, totals, counts = self._parts, self._totals, self._counts
+        total = 0
 
-    def closed(elem: ET.Element) -> bool:
-        """Takes the element's tail; False once past the cut-off."""
-        nonlocal total
-        if elem.tail:
-            parts.append(elem.tail)
-            total += len(elem.tail)
-        return limit is None or total <= limit * 2
+        def opened(elem: ET.Element) -> bool:
+            """Takes the element's own text, unless its content is not shown."""
+            nonlocal total
+            if not isinstance(elem.tag, str) or _localname(elem.tag) in _NO_TEXT_TAGS:
+                return False
+            if elem.text:
+                parts.append(elem.text)
+                total += len(elem.text)
+            return True
 
-    stack = [(root, iter(root))] if opened(root) else []
-    while stack:
-        child = next(stack[-1][1], None)
-        if child is None:
-            elem = stack.pop()[0]
-            if stack and not closed(elem):
+        def closed(elem: ET.Element) -> bool:
+            """Takes the element's tail; False once past the cut-off."""
+            nonlocal total
+            if elem.tail:
+                parts.append(elem.tail)
+                total += len(elem.tail)
+            totals.append(total)
+            counts.append(len(parts))
+            return limit is None or total <= limit * 2
+
+        stack = [(root, iter(root))] if opened(root) else []
+        while stack:
+            child = next(stack[-1][1], None)
+            if child is None:
+                elem = stack.pop()[0]
+                if stack and not closed(elem):
+                    break
+            elif opened(child):
+                stack.append((child, iter(child)))
+            elif not closed(child):
                 break
-        elif opened(child):
-            stack.append((child, iter(child)))
-        elif not closed(child):
-            break
-    text = normalize_ws(" ".join(parts))
-    if limit is not None:
-        text = text[:limit]
-    return text
+
+    def text(self, limit: int | None = None) -> str:
+        if self._limit is not None and (limit is None or limit > self._limit):
+            raise ValueError(f"text was walked only up to a limit of {self._limit}")
+        n = len(self._parts)
+        if limit is not None:
+            i = bisect.bisect_right(self._totals, limit * 2)
+            if i < len(self._totals):
+                n = self._counts[i]
+        text = normalize_ws(" ".join(self._parts[:n]))
+        return text if limit is None else text[:limit]
+
+
+def document_text(doc: ArchiveEntry, limit: int | None = None) -> str:
+    """Whole-document visible text, whitespace-normalized; script/style
+    content excluded; see VisibleText. Raises UnparseableDocument."""
+    return VisibleText(parse_document(doc.data), limit).text(limit)
 
 
 # --- alt attribute splicing over raw source text ---
@@ -545,11 +577,12 @@ def set_alt_text(doc: ArchiveEntry, occurrence: ImageOccurrence, alt: str) -> Ar
 class ContentDocument:
     """One content document prepared for repair: decoded and parsed once.
 
-    `images` are its occurrences, as find_images gives them. `contexts`
-    builds the context of any number of them in one tree walk, and
-    `with_alts` splices any number of alts in one pass over the source text,
-    at the start tags the parse located, then checks the result with one
-    re-parse. Raises UnparseableDocument.
+    `images` are its occurrences, as find_images gives them. `visible_text`
+    and `contexts` read the parsed tree, which `contexts` then releases:
+    `contexts` builds the context of any number of images in one tree walk.
+    `splice` writes any number of alts in one pass over the source text, at
+    the start tags the parse located, then checks the result with one
+    re-parse, whose images it returns. Raises UnparseableDocument.
     """
 
     def __init__(self, doc: ArchiveEntry, doc_path: str | None = None) -> None:
@@ -564,6 +597,11 @@ class ContentDocument:
     def _check_index(self, index: int) -> None:
         if not 0 <= index < len(self.images):
             raise StaleOccurrence(f"{self.doc_path}: image index {index} not found")
+
+    def visible_text(self, limit: int | None = None) -> VisibleText:
+        """The document's visible text, as document_text gives it for any
+        limit up to `limit`. Call it before `contexts`."""
+        return VisibleText(self._root, limit)
 
     def contexts(self, indices: list[int], pkg: PackageDocument) -> dict[int, ContextBundle]:
         """Context of each image in `indices`, as extract_context gives it.
@@ -587,7 +625,7 @@ class ContentDocument:
         for i in indices:
             # "replace": a codec other than the one expat read the bytes with
             # gives wrong offsets, not an error; the match below and the
-            # re-parse in with_alts stop those
+            # re-parse in splice stop those
             pos += len(self.doc.data[at : self._starts[i]].decode(self._codec, "replace"))
             at = self._starts[i]
             match = _XML_START_TAG_RE.match(self._text, pos)
@@ -596,9 +634,35 @@ class ContentDocument:
             spans.append((pos, match.end() - 1))
         return spans
 
-    def with_alts(self, alts: dict[int, str]) -> ArchiveEntry:
+    def _spliced(self, alts: dict[int, str]) -> bytes:
+        """The source with each image index in `alts` given its alt."""
+        indices, text = sorted(alts), self._text
+        out, pos = [], 0
+        for index, (start, end) in zip(indices, self._tag_spans(indices)):
+            body_start, body_end, body = _alt_tag_body(text, start, end, alts[index])
+            out += (text[pos:body_start], body)
+            pos = body_end
+        out.append(text[pos:])
+        return self._bom + "".join(out).encode(self._codec, "xmlcharrefreplace")
+
+    def can_be_well_formed(self, indices: list[int]) -> bool:
+        """False when no alts at the image `indices` can make the spliced
+        document well-formed XML: its parse was lenient, and a strict parse
+        still fails with a placeholder alt spliced at each. An alt's value
+        changes the verdict only by holding characters XML does not allow."""
+        if self._starts is not None:
+            return True
+        try:
+            _parse_xml(self._spliced(dict.fromkeys(indices, "alt")))
+        except _NOT_STRICT_XML:
+            return False
+        return True
+
+    def splice(self, alts: dict[int, str]) -> tuple[ArchiveEntry, list[ImageOccurrence]]:
         """A modified copy of the entry with each image index in `alts` given
-        its alt. Raises StaleOccurrence for an index with no image,
+        its alt, and the images of its re-parse: what an audit of the copy
+        finds. The copy carries the re-parse's verdict on whether it is
+        well-formed XML. Raises StaleOccurrence for an index with no image,
         DocumentError for an image with no start tag of its own, and
         RewriteFailed when the re-parse disagrees; on failure nothing is
         returned."""
@@ -607,17 +671,15 @@ class ContentDocument:
             if alt == "" and not self.images[index].decorative:
                 raise ValueError("empty alt is only allowed for decorative images")
         self._root = None
-        indices, text = sorted(alts), self._text
-        out, pos = [], 0
-        for index, (start, end) in zip(indices, self._tag_spans(indices)):
-            body_start, body_end, body = _alt_tag_body(text, start, end, alts[index])
-            out += (text[pos:body_start], body)
-            pos = body_end
-        out.append(text[pos:])
-        data = self._bom + "".join(out).encode(self._codec, "xmlcharrefreplace")
-        images = parse_document(data).images
+        data = self._spliced(alts)
+        root = parse_document(data)
+        images = _occurrences(root, self.doc_path)
         if len(images) != len(self.images) or any(
-            _attr_by_localname(images[index], "alt") != alt for index, alt in alts.items()
+            images[index].existing_alt != alt for index, alt in alts.items()
         ):
             raise RewriteFailed(f"{self.doc_path}: alt splice verification failed")
-        return self.doc.with_data(data)
+        return self.doc.with_data(data, well_formed=root.starts is not None), images
+
+    def with_alts(self, alts: dict[int, str]) -> ArchiveEntry:
+        """The modified copy of the entry `splice` gives."""
+        return self.splice(alts)[0]

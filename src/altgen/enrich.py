@@ -1,19 +1,22 @@
 """Metadata enrichment: language tags, accessibility metadata, title default.
 
-Pure transform over a copy of the package document; never removes or
-rewrites a well-formed existing value, so a second pass is a no-op.
+A pure transform: the input package is never changed. Enrichment copies
+only the metadata list and the entries it rewrites, and returns the input
+itself when it changes nothing, which tells repair whether the OPF must be
+written again. It never removes or rewrites a well-formed existing value,
+so a second pass is a no-op.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator, Mapping
 
 from altgen.audit import is_well_formed_language_tag
-from altgen.container import EpubArchive
-from altgen.content import UnparseableDocument, document_text
+from altgen.container import ArchiveEntry, EpubArchive
+from altgen.content import UnparseableDocument, VisibleText, document_text
 from altgen.errors import AltgenError
 from altgen.package import MetaEntry, MetaKind, PackageDocument, XHTML_MEDIA_TYPES
 
@@ -51,23 +54,52 @@ class AppliedFix:
         }
 
 
-def sample_spine_text(pkg: PackageDocument, archive: EpubArchive) -> str:
+def _sampled(pkg: PackageDocument, archive: EpubArchive) -> Iterator[tuple[str, ArchiveEntry]]:
+    """(href, entry) of the first <= 5 spine documents the archive holds."""
+    docs = (
+        (item.href, archive.entry(item.href))
+        for item in pkg.spine_items()
+        if item.media_type in XHTML_MEDIA_TYPES
+    )
+    held = ((href, entry) for href, entry in docs if entry is not None)
+    return itertools.islice(held, SAMPLE_DOCS)
+
+
+def _detects_language(pkg: PackageDocument) -> bool:
+    """Whether enrichment must detect the language: none declared, or one
+    that is not a well-formed tag."""
+    languages = pkg.values(MetaKind.DC_LANGUAGE)
+    return not languages or not all(is_well_formed_language_tag(v.strip()) for v in languages)
+
+
+def sampled_documents(pkg: PackageDocument, archive: EpubArchive) -> set[str]:
+    """Hrefs of the documents enrich_metadata takes its language sample from;
+    none when it detects no language."""
+    return {href for href, _ in _sampled(pkg, archive)} if _detects_language(pkg) else set()
+
+
+def sample_spine_text(
+    pkg: PackageDocument,
+    archive: EpubArchive,
+    texts: Mapping[str, VisibleText | None] | None = None,
+) -> str:
     """Visible text of the first <= 5 spine documents, capped at 10 000
-    characters. Unparseable documents are skipped."""
+    characters. Unparseable documents are skipped.
+
+    `texts` gives, by href, the visible text of every document in
+    sampled_documents, walked up to a limit of at least SAMPLE_CHARS (None
+    for an unparseable document); without it, each document is parsed here.
+    """
     parts: list[str] = []
     total = 0
-    docs = 0
-    for item in pkg.spine_items():
-        if item.media_type not in XHTML_MEDIA_TYPES:
-            continue
-        entry = archive.entry(item.href)
-        if entry is None:
-            continue
-        docs += 1
-        if docs > SAMPLE_DOCS:
-            break
+    for href, entry in _sampled(pkg, archive):
         try:
-            text = document_text(entry, limit=SAMPLE_CHARS - total)
+            if texts is None:
+                text = document_text(entry, limit=SAMPLE_CHARS - total)
+            elif texts[href] is None:
+                continue
+            else:
+                text = texts[href].text(SAMPLE_CHARS - total)
         except UnparseableDocument:
             continue
         if text:
@@ -85,66 +117,62 @@ def enrich_metadata(
     *,
     fallback_title: str | None = None,
     include_alt_feature: bool = True,
+    texts: Mapping[str, VisibleText | None] | None = None,
 ) -> tuple[PackageDocument, list[AppliedFix]]:
-    """Returns an enriched copy of pkg and the list of applied fixes.
+    """Returns the enriched package and the list of applied fixes.
+
+    When the metadata comes out equal, the package returned is pkg itself.
+    Otherwise it is a new PackageDocument with its own metadata list, in
+    which each changed entry is a new MetaEntry; it shares every other part
+    with pkg, and pkg is not changed.
 
     detector is detect_language-shaped: text -> (lang, confidence), raising
     on failure. fallback_title is the filename stem used when dc:title is
     missing. include_alt_feature adds accessibilityFeature=altText and
-    should be set only when alt repair actually runs.
+    should be set only when alt repair actually runs. texts is passed to
+    sample_spine_text.
     """
-    pkg = copy.deepcopy(pkg)
+    metadata = list(pkg.metadata)
     fixes: list[AppliedFix] = []
 
-    languages = pkg.values(MetaKind.DC_LANGUAGE)
-    well_formed = [v for v in languages if is_well_formed_language_tag(v.strip())]
-    ill_formed_present = len(well_formed) < len(languages)
-    if not languages or ill_formed_present:
+    if _detects_language(pkg):
+        languages = pkg.values(MetaKind.DC_LANGUAGE)
         detected: str | None = None
         try:
-            detected, _confidence = detector(sample_spine_text(pkg, archive))
+            detected, _confidence = detector(sample_spine_text(pkg, archive, texts))
         except AltgenError:
             detected = None
         if detected is None:
-            if not well_formed:
+            if not any(is_well_formed_language_tag(v.strip()) for v in languages):
                 fixes.append(AppliedFix("dc:language", None, None, FixReason.SKIPPED))
+        elif not languages:
+            metadata.append(MetaEntry(MetaKind.DC_LANGUAGE, detected))
+            fixes.append(AppliedFix("dc:language", None, detected, FixReason.DETECTED))
         else:
-            if not languages:
-                pkg.metadata.append(MetaEntry(MetaKind.DC_LANGUAGE, detected))
-                fixes.append(
-                    AppliedFix("dc:language", None, detected, FixReason.DETECTED)
-                )
-            else:
-                for entry in pkg.metadata:
-                    if entry.kind is MetaKind.DC_LANGUAGE and not is_well_formed_language_tag(
-                        entry.value.strip()
-                    ):
-                        fixes.append(
-                            AppliedFix(
-                                "dc:language", entry.value, detected, FixReason.DETECTED
-                            )
-                        )
-                        entry.value = detected
+            for i, entry in enumerate(metadata):
+                if entry.kind is MetaKind.DC_LANGUAGE and not is_well_formed_language_tag(
+                    entry.value.strip()
+                ):
+                    fixes.append(
+                        AppliedFix("dc:language", entry.value, detected, FixReason.DETECTED)
+                    )
+                    metadata[i] = replace(entry, value=detected)
 
     if not pkg.accessibility_values("accessMode"):
         additions = [("accessMode", "textual"), ("accessMode", "visual")]
         if include_alt_feature:
             additions.append(("accessibilityFeature", "altText"))
         for prop, value in additions:
-            pkg.metadata.append(
-                MetaEntry(MetaKind.SCHEMA_ACCESSIBILITY, value, property=prop)
-            )
-            fixes.append(
-                AppliedFix(f"schema:{prop}", None, value, FixReason.DEFAULT)
-            )
+            metadata.append(MetaEntry(MetaKind.SCHEMA_ACCESSIBILITY, value, property=prop))
+            fixes.append(AppliedFix(f"schema:{prop}", None, value, FixReason.DEFAULT))
 
     if not any(v.strip() for v in pkg.values(MetaKind.DC_TITLE)):
         if fallback_title:
-            pkg.metadata.append(MetaEntry(MetaKind.DC_TITLE, fallback_title))
-            fixes.append(
-                AppliedFix("dc:title", None, fallback_title, FixReason.DEFAULT)
-            )
+            metadata.append(MetaEntry(MetaKind.DC_TITLE, fallback_title))
+            fixes.append(AppliedFix("dc:title", None, fallback_title, FixReason.DEFAULT))
         else:
             fixes.append(AppliedFix("dc:title", None, None, FixReason.SKIPPED))
 
-    return pkg, fixes
+    if metadata == pkg.metadata:
+        return pkg, fixes
+    return replace(pkg, metadata=metadata), fixes

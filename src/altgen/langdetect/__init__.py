@@ -76,17 +76,38 @@ def normalize_text(text: str) -> str:
     return " ".join("".join(chars).split())
 
 
+def _normalized_char(ch: str) -> str:
+    return ch.lower() if ch.isalpha() else " "
+
+
+class _TwiceNormalized(dict):
+    """str.translate table: what two passes of normalize_text make of each
+    character, before spaces are collapsed. The second pass changes only
+    U+0130, whose lowercase ends in a combining dot that is no letter.
+    Filled as characters are met, up to a bound."""
+
+    def __missing__(self, code: int) -> str:
+        value = "".join(map(_normalized_char, _normalized_char(chr(code))))
+        if len(self) < 65536:
+            self[code] = value
+        return value
+
+
+_TWICE_NORMALIZED = _TwiceNormalized()
+
+
 def letter_count(text: str) -> int:
     return sum(map(str.isalpha, text))
 
 
+def _trigrams(normalized: str) -> Counter:
+    padded_words = [f" {word} " for word in normalized.split()]
+    return Counter([padded[i : i + 3] for padded in padded_words for i in range(len(padded) - 2)])
+
+
 def trigram_counts(text: str) -> Counter:
     """Character trigrams of each word padded with spaces (' word ')."""
-    grams: list[str] = []
-    for word in normalize_text(text).split():
-        padded = f" {word} "
-        grams.extend(padded[i : i + 3] for i in range(len(padded) - 2))
-    return Counter(grams)
+    return _trigrams(normalize_text(text))
 
 
 def rank_trigrams(counts: Counter, k: int = PROFILE_SIZE) -> tuple[str, ...]:
@@ -128,12 +149,14 @@ def detect_statistical(text: str, profiles: list[LanguageProfile]) -> LanguageVo
     """
     if not profiles:
         raise NoProfiles("no language profiles supplied")
-    normalized = normalize_text(text)
+    # trigram_counts(normalize_text(text)) in one pass: the second
+    # normalization leaves every character's letter count as it is
+    normalized = " ".join(text.translate(_TWICE_NORMALIZED).split())
     if letter_count(normalized) < MIN_LETTERS:
         raise TextTooShort(
             f"{letter_count(normalized)} letters after normalization, need {MIN_LETTERS}"
         )
-    sample = _ranks(rank_trigrams(trigram_counts(normalized)))
+    sample = _ranks(rank_trigrams(_trigrams(normalized)))
     d_max = PROFILE_SIZE * PROFILE_SIZE
     best_lang: str | None = None
     best_distance = d_max + 1

@@ -480,11 +480,17 @@ def _element(tag: str, attrs: dict[str, str], value: str) -> str:
     return f"<{tag}{_attr_string(attrs)}/>"
 
 
+# a character XML 1.0 does not allow, even escaped
+_NON_XML_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def serialize_opf(doc: PackageDocument) -> bytes:
     """Serialize a PackageDocument to OPF bytes.
 
     Dublin Core elements use the dc: prefix; OPF elements use the default
-    namespace. Raises InvariantViolation for broken manifest/spine structure.
+    namespace. Raises InvariantViolation for broken manifest/spine structure
+    and for a value holding a character XML does not allow, so what it
+    writes parses back.
     """
     _check_serialize_invariants(doc)
     ns_decls = [f'xmlns="{OPF_NS}"', f'xmlns:dc="{DC_NS}"']
@@ -523,7 +529,11 @@ def serialize_opf(doc: PackageDocument) -> bytes:
     for fragment in doc.tail_xml:
         lines.append(f"  {fragment}")
     lines.append("</package>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    text = "\n".join(lines) + "\n"
+    bad = _NON_XML_CHAR_RE.search(text)
+    if bad is not None:
+        raise InvariantViolation(f"character U+{ord(bad.group()):04X} cannot be written in XML")
+    return text.encode("utf-8")
 
 
 def _serialize_meta_entry(entry: MetaEntry) -> str:

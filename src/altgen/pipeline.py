@@ -2,12 +2,19 @@
 directories, with per-file parallelism and JSON/text reporting.
 
 Stage order per file is fixed: parse and audit, caption generation, metadata
-enrichment, reconstruction, re-audit. Captioning takes each content document
-in one pass: one parse, one context walk for all of its targets, one
-`generate_alts` call for all of their captions, then one splice of all their
-alts in document order, checked once per document. A document that cannot
-be repaired fails its file, never the batch. Setting ALTGEN_EPOCH freezes
-the timing clock so reports become byte-stable.
+enrichment, reconstruction, re-audit. Repair unzips a book once and parses
+its OPF once. Each content document is parsed once; that parse gives the
+audit its images, the captions their targets and their contexts (one tree
+walk per document), and the language sample its text, and its tree is then
+released. Captioning sends one `generate_alts` call per document for all of
+its targets, then splices all their alts in document order, checked by one
+re-parse of the bytes written. That re-parse is also the written document's
+integrity verdict and its part of the re-audit, which audits the repaired
+model (untouched documents as first parsed, the enriched package) rather
+than the written file. A document no alt can make well-formed XML fails its
+book before any caption request. A document that cannot be repaired fails
+its file, never the batch. Setting ALTGEN_EPOCH freezes the timing clock so
+reports become byte-stable.
 
 Files are independent. Audit and repair run in up to `jobs` worker
 processes from the default multiprocessing context, largest file first, in
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from altgen.audit import AuditReport, audit
+from altgen.audit import AuditReport, audit, content_documents
 from altgen.backend import (
     BackendError,
     CaptionRequest,
@@ -44,13 +51,25 @@ from altgen.backend import (
     SUPPORTED_MEDIA_TYPES,
 )
 from altgen.container import ArchiveEntry, EpubArchive, open_epub
-from altgen.content import ContentDocument, find_images
-from altgen.enrich import AppliedFix, enrich_metadata
+from altgen.content import (
+    ContentDocument,
+    ImageOccurrence,
+    UnparseableDocument,
+    VisibleText,
+    find_images,
+)
+from altgen.enrich import SAMPLE_CHARS, AppliedFix, enrich_metadata, sampled_documents
 from altgen.errors import AltgenError
 from altgen.langdetect import EnsembleConfig, detect_language
 from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate
-from altgen.package import MetaKind, PackageDocument, XHTML_MEDIA_TYPES, parse_opf
-from altgen.reconstruct import IntegrityErrors, rebuild, write_file_atomic
+from altgen.package import MetaKind, PackageDocument, parse_opf
+from altgen.reconstruct import (
+    FindingCode,
+    IntegrityErrors,
+    finding,
+    rebuild,
+    write_file_atomic,
+)
 from altgen.audit import is_well_formed_language_tag
 
 ENV_EPOCH = "ALTGEN_EPOCH"
@@ -250,6 +269,54 @@ def _inadequate(existing_alt: str | None, src: str) -> bool:
     return alt.lower() == posixpath.basename(src).lower()
 
 
+def _targets(
+    document: ContentDocument, archive: EpubArchive, media_types: dict[str, str]
+) -> list[tuple[ImageOccurrence, ArchiveEntry, str]]:
+    """The document's images that get a caption request: not decorative,
+    without an adequate alt, and packaged in a type the backend reads."""
+    targets = []
+    for occ in document.images:
+        if occ.decorative or not _inadequate(occ.existing_alt, occ.src):
+            continue
+        image_entry = archive.entry(occ.src)
+        if image_entry is None:
+            continue  # dangling; nothing to caption
+        media_type = _media_type_for(media_types, occ.src)
+        if media_type not in SUPPORTED_MEDIA_TYPES:
+            continue
+        targets.append((occ, image_entry, media_type))
+    return targets
+
+
+def _read_documents(archive: EpubArchive, pkg: PackageDocument) -> tuple[dict, dict, list]:
+    """Parse each content document once, for the audit, the language sample
+    and the captions, and release its tree before the next is parsed.
+
+    Returns each document's images by href (None for one that cannot be
+    parsed), the visible text of each document enrichment samples, and each
+    document with caption targets, with its targets and their contexts.
+    """
+    media_types = _media_types(pkg)
+    sampled = sampled_documents(pkg, archive)
+    images: dict[str, list[ImageOccurrence] | None] = {}
+    texts: dict[str, VisibleText | None] = {}
+    chapters = []
+    for href, entry in content_documents(archive, pkg):
+        try:
+            document = ContentDocument(entry, href)
+        except UnparseableDocument:
+            images[href] = texts[href] = None
+            continue
+        images[href] = document.images
+        if href in sampled:
+            texts[href] = document.visible_text(SAMPLE_CHARS)
+        targets = _targets(document, archive, media_types)
+        contexts = document.contexts([occ.element_index for occ, _, _ in targets], pkg)
+        if targets:
+            chapters.append((document, targets, contexts))
+    return images, texts, chapters
+
+
 def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> FileResult:
     started = _clock()
 
@@ -265,9 +332,15 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
             FileResult(str(path), FileStatus.FAILED, failure_reason=str(exc))
         )
 
-    pre = audit(archive, pkg)
+    images, texts, chapters = _read_documents(archive, pkg)
+    pre = audit(archive, pkg, images)
     if pre.error_count == 0:
-        write_file_atomic(out_path, data)
+        try:
+            write_file_atomic(out_path, data)
+        except OSError as exc:
+            return finish(
+                FileResult(str(path), FileStatus.FAILED, pre_report=pre, failure_reason=str(exc))
+            )
         return finish(
             FileResult(
                 str(path),
@@ -278,33 +351,18 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
         )
 
     language = _caption_language(pkg)
-    media_types = _media_types(pkg)
     alts_written = 0
     caption_failures = 0
-    modified: dict[str, ArchiveEntry] = {}
+    modified: list[ArchiveEntry] = []
     try:
-        for item in pkg.manifest:
-            if item.media_type not in XHTML_MEDIA_TYPES:
-                continue
-            entry = archive.entry(item.href)
-            if entry is None:
-                continue
-            try:
-                document = ContentDocument(entry, item.href)
-            except AltgenError:
-                continue  # audit already recorded the warning
-            targets = []
-            for occ in document.images:
-                if occ.decorative or not _inadequate(occ.existing_alt, occ.src):
-                    continue
-                image_entry = archive.entry(occ.src)
-                if image_entry is None:
-                    continue  # dangling; nothing to caption
-                media_type = _media_type_for(media_types, occ.src)
-                if media_type not in SUPPORTED_MEDIA_TYPES:
-                    continue
-                targets.append((occ, image_entry, media_type))
-            contexts = document.contexts([occ.element_index for occ, _, _ in targets], pkg)
+        # a chapter no alt can make well-formed would fail the integrity
+        # check, so its book fails before any caption request
+        for document, targets, _ in chapters:
+            if not document.can_be_well_formed([occ.element_index for occ, _, _ in targets]):
+                raise IntegrityErrors(
+                    [finding(FindingCode.MALFORMED_MODIFIED_DOC, document.doc_path)]
+                )
+        for document, targets, contexts in chapters:
             requests = [
                 CaptionRequest(
                     image_bytes=image_entry.data,
@@ -328,7 +386,10 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
                     continue
                 alts[occ.element_index] = outcome.alt_text
             if alts:
-                modified[item.href] = document.with_alts(alts)
+                # the re-parse that checks the splice is the written
+                # chapter's audit and its integrity verdict
+                entry, images[document.doc_path] = document.splice(alts)
+                modified.append(entry)
                 alts_written += len(alts)
     except _StrictCaptionFailure as exc:
         return finish(
@@ -359,14 +420,13 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
         lambda text: detect_language(text, ensemble),
         fallback_title=path.stem,
         include_alt_feature=True,
+        texts=texts,
     )
 
     try:
-        out_bytes = rebuild(archive, pkg_enriched, list(modified.values()))
-        out_archive, out_pkg = _open_for_pipeline(out_bytes)
-        post = audit(out_archive, out_pkg)
+        out_bytes = rebuild(archive, pkg_enriched, modified, opf_changed=pkg_enriched is not pkg)
         write_file_atomic(out_path, out_bytes)
-    except (IntegrityErrors, AltgenError, OSError) as exc:
+    except (AltgenError, OSError) as exc:
         return finish(
             FileResult(
                 str(path),
@@ -377,6 +437,9 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
                 failure_reason=str(exc),
             )
         )
+    # the audit of the repaired model: untouched documents as parsed,
+    # modified ones as their splice re-parsed them, the enriched package
+    post = audit(archive, pkg_enriched, images)
     return finish(
         FileResult(
             str(path),
@@ -525,7 +588,10 @@ def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fi
         results = _run_pool(_repair_task, items, config, workers)
     results.sort(key=lambda r: r.input_path)
     payload = json.dumps(report_dict(results), indent=2, sort_keys=True).encode("utf-8")
-    write_file_atomic(config.output_dir / REPORT_FILENAME, payload)
+    try:
+        write_file_atomic(config.output_dir / REPORT_FILENAME, payload)
+    except OSError as exc:
+        raise PipelineError(f"cannot write {REPORT_FILENAME}: {exc}") from exc
     if any(r.status is FileStatus.FAILED for r in results):
         exit_code = 2
     elif aggregate_results(results)["post_errors"] > 0:

@@ -75,24 +75,40 @@ class IntegrityFinding:
         return {"code": self.code.value, "severity": self.severity.value, "path": self.path}
 
 
-def _finding(code: FindingCode, path: str) -> IntegrityFinding:
+def finding(code: FindingCode, path: str) -> IntegrityFinding:
     return IntegrityFinding(code, _SEVERITY_BY_CODE[code], path)
 
 
+def _well_formed(entry: ArchiveEntry) -> bool:
+    """The entry's own verdict when a strict parse of its bytes gave one,
+    else a strict parse's."""
+    if entry.well_formed is not None:
+        return entry.well_formed
+    try:
+        ET.fromstring(entry.data)
+    except (ET.ParseError, LookupError, ValueError):  # or an encoding expat cannot read
+        return False
+    return True
+
+
 def integrity_check(archive: EpubArchive, pkg: PackageDocument) -> list[IntegrityFinding]:
-    """Structural findings; never raises. Deterministic order."""
+    """Structural findings; never raises. Deterministic order.
+
+    A modified content document is checked by a strict XML parse of its
+    bytes; one that carries the verdict of such a parse (`well_formed`, set
+    by ContentDocument.splice) is not parsed again."""
     findings: list[IntegrityFinding] = []
 
     manifest_hrefs = set()
     for item in pkg.manifest:
         manifest_hrefs.add(item.href)
         if not has_scheme(item.href) and archive.entry(item.href) is None:
-            findings.append(_finding(FindingCode.MANIFEST_DANGLING_HREF, item.href))
+            findings.append(finding(FindingCode.MANIFEST_DANGLING_HREF, item.href))
 
     ids = {item.id for item in pkg.manifest}
     for idref in pkg.spine:
         if idref not in ids:
-            findings.append(_finding(FindingCode.SPINE_DANGLING_IDREF, idref))
+            findings.append(finding(FindingCode.SPINE_DANGLING_IDREF, idref))
 
     opf_path = archive.rootfile_path
     for entry in archive.entries:
@@ -102,7 +118,7 @@ def integrity_check(archive: EpubArchive, pkg: PackageDocument) -> list[Integrit
             continue
         ext = posixpath.splitext(entry.path)[1].lower()
         if ext in _CONTENT_EXTENSIONS and entry.path not in manifest_hrefs:
-            findings.append(_finding(FindingCode.UNMANIFESTED_CONTENT, entry.path))
+            findings.append(finding(FindingCode.UNMANIFESTED_CONTENT, entry.path))
 
     first = archive.entries[0] if archive.entries else None
     if (
@@ -111,7 +127,7 @@ def integrity_check(archive: EpubArchive, pkg: PackageDocument) -> list[Integrit
         or first.compression is not Compression.STORED
         or first.data != MIMETYPE_CONTENT
     ):
-        findings.append(_finding(FindingCode.MIMETYPE_VIOLATION, MIMETYPE_PATH))
+        findings.append(finding(FindingCode.MIMETYPE_VIOLATION, MIMETYPE_PATH))
 
     xhtml_hrefs = {i.href for i in pkg.manifest if i.media_type in XHTML_MEDIA_TYPES}
     for entry in archive.entries:
@@ -119,10 +135,8 @@ def integrity_check(archive: EpubArchive, pkg: PackageDocument) -> list[Integrit
             continue
         ext = posixpath.splitext(entry.path)[1].lower()
         if entry.path in xhtml_hrefs or ext in (".xhtml", ".html", ".htm"):
-            try:
-                ET.fromstring(entry.data)
-            except (ET.ParseError, LookupError, ValueError):  # or an encoding expat cannot read
-                findings.append(_finding(FindingCode.MALFORMED_MODIFIED_DOC, entry.path))
+            if not _well_formed(entry):
+                findings.append(finding(FindingCode.MALFORMED_MODIFIED_DOC, entry.path))
 
     findings.sort(key=lambda f: (f.path, f.code.value))
     return findings
@@ -132,12 +146,18 @@ def rebuild(
     archive: EpubArchive,
     pkg: PackageDocument,
     modified_docs: list[ArchiveEntry] | None = None,
+    *,
+    opf_changed: bool | None = None,
 ) -> bytes:
     """Assemble output bytes: swap in modified docs, re-serialize the OPF
     only if the model changed, check integrity, write.
 
-    Raises IntegrityErrors when Error-severity findings exist, KeyError for
-    a modified doc whose path is not in the archive.
+    `opf_changed` says whether pkg differs from the model of the archive's
+    OPF, as enrichment tells by returning a new package; None finds out by
+    parsing the OPF again and comparing. Raises IntegrityErrors when
+    Error-severity findings exist, InvariantViolation for a package that
+    cannot be serialized, KeyError for a modified doc whose path is not in
+    the archive.
     """
     result = archive.copy()
     for doc in modified_docs or ():
@@ -146,15 +166,14 @@ def rebuild(
     opf_entry = result.entry(result.rootfile_path)
     if opf_entry is None:
         raise IntegrityErrors(
-            [_finding(FindingCode.MANIFEST_DANGLING_HREF, result.rootfile_path)]
+            [finding(FindingCode.MANIFEST_DANGLING_HREF, result.rootfile_path)]
         )
-    replace_opf = True
-    try:
-        current = parse_opf(opf_entry)
-        replace_opf = current != pkg
-    except AltgenError:
-        replace_opf = True
-    if replace_opf:
+    if opf_changed is None:
+        try:
+            opf_changed = parse_opf(opf_entry) != pkg
+        except AltgenError:
+            opf_changed = True
+    if opf_changed:
         result.replace_entry(opf_entry.with_data(serialize_opf(pkg)))
 
     findings = integrity_check(result, pkg)

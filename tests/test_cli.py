@@ -155,6 +155,15 @@ class TestRepairCommand:
         assert main(["repair", str(book), "-o", str(blocker)]) == 2
         assert "altgen: error:" in capsys.readouterr().err
 
+    def test_unwritable_report(self, tmp_path, capsys):
+        book = write_defective(tmp_path / "story.epub")
+        out = tmp_path / "out"
+        (out / REPORT_FILENAME).mkdir(parents=True)
+        assert main(["repair", str(book), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"altgen: error: cannot write {REPORT_FILENAME}:")
+        assert "Traceback" not in err
+
 
 class TestValidateCommand:
     def _repaired(self, tmp_path) -> tuple[Path, Path]:

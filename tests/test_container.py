@@ -235,6 +235,14 @@ def test_with_data_marks_modified(clean_book_bytes):
     assert entry.data != updated.data
 
 
+def test_well_formed_verdict_goes_with_its_bytes(clean_book_bytes):
+    entry = open_epub(clean_book_bytes).entry("OEBPS/ch1.xhtml")
+    assert entry.well_formed is None
+    checked = entry.with_data(b"<html/>", well_formed=True)
+    assert checked.well_formed is True
+    assert checked.with_data(b"<html>").well_formed is None
+
+
 def test_copy_is_deep_for_entry_list(clean_book_bytes):
     arc = open_epub(clean_book_bytes)
     dup = arc.copy()

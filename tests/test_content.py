@@ -316,6 +316,32 @@ class TestSetAltText:
         with pytest.raises(StaleOccurrence):
             ContentDocument(doc('<img src="a.png"/>')).with_alts({3: "A fox in snow"})
 
+    def test_splice_returns_the_written_images_and_verdict(self):
+        d = doc('<img src="a.png"/><img src="b.png" alt="A gull"/>')
+        entry, images = ContentDocument(d).splice({0: "A fox in snow"})
+        assert entry.well_formed is True
+        assert images == find_images(entry)
+        assert [o.existing_alt for o in images] == ["A fox in snow", "A gull"]
+        soup = ArchiveEntry("OEBPS/soup.xhtml", b"<html><p>x<br><img src='a.png'></html>")
+        entry, images = ContentDocument(soup).splice({0: "A fox in snow"})
+        assert entry.well_formed is False
+        assert images == find_images(entry)
+
+    @pytest.mark.parametrize(
+        "data, first, every",
+        [
+            (epubgen.page('<img src="a.png"/>'), True, True),
+            (b"<html><body><p>x<br><img src='a.png'></body></html>", False, False),
+            # tag soup only by its valueless alts, which the splice fills
+            (epubgen.page('<img src="a.png" alt/>'), True, True),
+            (epubgen.page('<img src="a.png" alt/><img src="b.png" alt/>'), False, True),
+        ],
+    )
+    def test_can_be_well_formed(self, data, first, every):
+        document = ContentDocument(ArchiveEntry("OEBPS/ch1.xhtml", data))
+        assert document.can_be_well_formed([0]) is first
+        assert document.can_be_well_formed(list(range(len(document.images)))) is every
+
     def test_case_insensitive_tag_names(self):
         raw = ArchiveEntry(
             path="OEBPS/soup.xhtml",

@@ -7,12 +7,14 @@ import copy
 import pytest
 
 from altgen.container import open_epub
+from altgen.content import ContentDocument
 from altgen.enrich import (
     SAMPLE_CHARS,
     AppliedFix,
     FixReason,
     enrich_metadata,
     sample_spine_text,
+    sampled_documents,
 )
 from altgen.langdetect import Undetermined, detect_language
 from altgen.package import MetaKind, parse_opf
@@ -165,6 +167,26 @@ class TestGeneral:
         enrich_metadata(pkg, archive, detect_en, fallback_title="stem")
         assert pkg == before
 
+    def test_unchanged_package_returned_itself(self):
+        archive, pkg = load(make_book())
+        enriched, fixes = enrich_metadata(pkg, archive, detect_en, fallback_title="stem")
+        assert fixes == []
+        assert enriched is pkg
+
+    def test_copy_on_write(self):
+        book = make_book(extra_metadata="<dc:language>not a tag!</dc:language>", access=False)
+        archive, pkg = load(book)
+        before = list(pkg.metadata)
+        enriched, _ = enrich_metadata(pkg, archive, detect_en)
+        assert enriched is not pkg
+        assert enriched.manifest is pkg.manifest and enriched.spine is pkg.spine
+        assert pkg.metadata == before
+        assert all(a is b for a, b in zip(pkg.metadata, before))
+        pairs = zip(pkg.metadata, enriched.metadata)
+        changed = [i for i, (a, b) in enumerate(pairs) if a is not b]
+        assert [enriched.metadata[i].value for i in changed] == ["en"]
+        assert [pkg.metadata[i].value for i in changed] == ["not a tag!"]
+
     def test_skipped_fix_cannot_carry_value(self):
         with pytest.raises(ValueError):
             AppliedFix("dc:language", None, "en", FixReason.SKIPPED)
@@ -180,6 +202,38 @@ class TestGeneral:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("n_chapters, words", [(1, 0), (7, 0), (3, 700), (3, 1300)])
+    def test_sample_from_texts_already_walked(self, n_chapters, words):
+        # chapters of 700 or 1300 more words reach the cap in the second one
+        prose = "marsh tide  " * words
+        chapters = [
+            (f"OEBPS/ch{i}.xhtml", page(f"<p>Chapter {i}</p><p>{prose}</p>"))
+            for i in range(1, n_chapters + 1)
+        ]
+        manifest = [
+            (f"c{i}", f"ch{i}.xhtml", "application/xhtml+xml") for i in range(1, n_chapters + 1)
+        ]
+        spine = [item_id for item_id, _, _ in manifest]
+        book = build_zip(
+            [
+                ("META-INF/container.xml", container_xml()),
+                *chapters,
+                ("OEBPS/content.opf", opf(language=None, manifest=manifest, spine=spine)),
+            ]
+        )
+        archive, pkg = load(book)
+        hrefs = sampled_documents(pkg, archive)
+        assert hrefs == {f"OEBPS/ch{i + 1}.xhtml" for i in range(min(n_chapters, 5))}
+        texts = {
+            href: ContentDocument(archive.entry(href)).visible_text(SAMPLE_CHARS)
+            for href in hrefs
+        }
+        assert sample_spine_text(pkg, archive, texts) == sample_spine_text(pkg, archive)
+
+    def test_nothing_sampled_when_the_language_is_declared(self):
+        archive, pkg = load(make_book())
+        assert sampled_documents(pkg, archive) == set()
+
     def test_first_five_documents_only(self):
         archive, pkg = load(make_book(n_chapters=7))
         text = sample_spine_text(pkg, archive)

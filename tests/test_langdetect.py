@@ -34,6 +34,7 @@ from altgen.langdetect import (
     profile_from_text,
     rank_trigrams,
     trigram_counts,
+    _TwiceNormalized,
 )
 from altgen.langdetect.builder import build_profiles, main as builder_main
 
@@ -419,6 +420,15 @@ class TestFixtureSet:
         samples = load_samples()
         text = samples["sv"][0]
         assert detect_language(text) == detect_language(text)
+
+
+def test_one_pass_normalizes_as_two_do():
+    # detect_statistical normalizes in one pass what it normalized twice:
+    # every code point gives what two passes give, with the letters one gave
+    every = "".join(map(chr, range(0x110000)))
+    one_pass = " ".join(every.translate(_TwiceNormalized()).split())
+    assert one_pass == normalize_text(normalize_text(every))
+    assert letter_count(one_pass) == letter_count(normalize_text(every))
 
 
 # Characters where per-character and whole-string lowering differ ("İ", a

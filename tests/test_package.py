@@ -243,6 +243,14 @@ def test_serialize_rejects_duplicate_ids():
         serialize_opf(pkg)
 
 
+@pytest.mark.parametrize("char", ["\x01", "\x0b", "\ufffe", "\udcff"])
+def test_serialize_rejects_characters_xml_cannot_hold(char):
+    pkg = parse_opf(entry(BASIC))
+    pkg.metadata[1].value = f"The{char}Title"
+    with pytest.raises(InvariantViolation, match="cannot be written in XML"):
+        serialize_opf(pkg)
+
+
 def test_foreign_metadata_child_round_trips():
     raw = BASIC.replace(
         b"</metadata>",

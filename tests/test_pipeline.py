@@ -291,6 +291,87 @@ class TestRunRepair:
         )
         self._assert_isolated(*self._batch_with(tmp_path, chapter), "has no start tag")
 
+    def test_opf_bytes_kept_when_metadata_needs_nothing(self, tmp_path):
+        book = write_book(
+            tmp_path / "book.epub", images=[{"chapter": 0, "name": "fox.png", "alt": None}]
+        )
+        out = tmp_path / "out"
+        results, code = run_repair([book], PipelineConfig(jobs=1, output_dir=out))
+        assert results[0].status is FileStatus.REPAIRED
+        assert results[0].fixes == []
+        before = open_epub(book.read_bytes()).entry("OEBPS/content.opf")
+        after = open_epub((out / "book.epub").read_bytes()).entry("OEBPS/content.opf")
+        assert after.data == before.data
+        assert code == 0
+
+    def test_tag_soup_book_fails_before_captioning(self, tmp_path, monkeypatch):
+        # no alt can make this chapter well-formed XML, so its book fails
+        # with the integrity check's reason and no caption is asked for
+        calls = []
+
+        class CountingBackend(StubBackend):
+            def generate_alt(self, request):
+                calls.append(request.source_name)
+                return super().generate_alt(request)
+
+        monkeypatch.setattr("altgen.pipeline.make_backend", lambda cfg: CountingBackend())
+        book = tmp_path / "soup.epub"
+        book.write_bytes(
+            book_with_chapter(
+                b'<html><body><p>soup<br><img src="images/a.png"><img src="images/b.png">'
+                b"</body></html>",
+                ["a.png", "b.png"],
+            )
+        )
+        results, code = run_repair([book], PipelineConfig(jobs=1, output_dir=tmp_path / "out"))
+        assert calls == []
+        assert results[0].status is FileStatus.FAILED
+        assert results[0].failure_reason == "MalformedModifiedDoc: OEBPS/ch1.xhtml"
+        assert results[0].caption_failures == 0
+        assert code == 2
+
+    def test_tag_soup_the_alt_makes_xml_repaired(self, tmp_path):
+        # a valueless alt is the chapter's only fault, and the splice mends it
+        chapter = page('<p>x</p><img src="images/a.png" alt/><img src="images/a.png"/>')
+        results, code, out = self._batch_with(tmp_path, chapter)
+        assert [r.status for r in results] == [FileStatus.REPAIRED, FileStatus.REPAIRED]
+        assert results[0].alts_written == 2
+        repaired = open_epub((out / "bad.epub").read_bytes()).entry("OEBPS/ch1.xhtml")
+        assert all(o.existing_alt.startswith("Image: a.") for o in find_images(repaired))
+        assert code == 0
+
+    @pytest.mark.parametrize("stem", ["title\x01less", "title\udcffless"])
+    def test_title_xml_cannot_hold_fails_only_its_book(self, tmp_path, stem):
+        # the file name becomes the missing dc:title, which the OPF cannot hold
+        (tmp_path / "in").mkdir()
+        write_book(tmp_path / "in" / f"{stem}.epub", title=None, **defective_kwargs())
+        write_book(tmp_path / "in" / "good.epub", **defective_kwargs())
+        out = tmp_path / "out"
+        results, code = run_repair([tmp_path / "in"], PipelineConfig(jobs=1, output_dir=out))
+        good, bad = results
+        assert good.status is FileStatus.REPAIRED
+        assert bad.status is FileStatus.FAILED
+        assert "cannot be written in XML" in bad.failure_reason
+        assert (out / REPORT_FILENAME).exists()
+        assert code == 2
+
+    def test_clean_book_unwritable_copy_fails_only_its_book(
+        self, clean_book, defective_book, tmp_path
+    ):
+        out = tmp_path / "out"
+        (out / clean_book.name).mkdir(parents=True)
+        results, code = run_repair(
+            [clean_book, defective_book], PipelineConfig(jobs=1, output_dir=out)
+        )
+        clean, defective = results
+        assert clean.status is FileStatus.FAILED
+        assert clean.pre_report.error_count == 0
+        assert clean.failure_reason
+        assert defective.status is FileStatus.REPAIRED
+        stored = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
+        assert [row["status"] for row in stored["files"]] == ["Failed", "Repaired"]
+        assert code == 2
+
     def test_utf16_chapter_repaired(self, tmp_path):
         text = page('<img src="images/a.png"/>').decode("utf-8").replace("UTF-8", "UTF-16")
         chapter = codecs.BOM_UTF16_LE + text.encode("utf-16-le")

@@ -211,6 +211,35 @@ class TestRebuild:
             else:
                 assert after.data == before.data
 
+    def test_opf_changed_is_taken_as_told(self, monkeypatch):
+        archive, pkg = load(make_book(language=None))
+        original_opf = archive.entry(archive.rootfile_path).data
+
+        def no_parse(entry):
+            raise AssertionError("the OPF was parsed again")
+
+        monkeypatch.setattr("altgen.reconstruct.parse_opf", no_parse)
+        out = open_epub(rebuild(archive, pkg, opf_changed=False))
+        assert out.entry(out.rootfile_path).data == original_opf
+        enriched = replace(pkg, metadata=[*pkg.metadata, MetaEntry(MetaKind.DC_LANGUAGE, "en")])
+        out = open_epub(rebuild(archive, enriched, opf_changed=True))
+        assert parse_opf(out.entry(out.rootfile_path)).values(MetaKind.DC_LANGUAGE) == ["en"]
+
+    def test_modified_doc_verdict_used_without_a_parse(self, monkeypatch):
+        archive, pkg = load(make_book())
+        ch1 = archive.entry("OEBPS/ch1.xhtml")
+
+        def no_parse(data):
+            raise AssertionError("the chapter was parsed again")
+
+        monkeypatch.setattr("altgen.reconstruct.ET.fromstring", no_parse)
+        good = ch1.with_data(page("<p>x</p>"), well_formed=True)
+        assert rebuild(archive, pkg, [good], opf_changed=False)
+        bad = ch1.with_data(b"<html><p></html>", well_formed=False)
+        with pytest.raises(IntegrityErrors) as excinfo:
+            rebuild(archive, pkg, [bad], opf_changed=False)
+        assert str(excinfo.value) == "MalformedModifiedDoc: OEBPS/ch1.xhtml"
+
     def test_modified_docs_swapped_in(self):
         archive, pkg = load(make_book())
         new_doc = archive.entry("OEBPS/ch1.xhtml").with_data(

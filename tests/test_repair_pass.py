@@ -125,6 +125,23 @@ def test_document_text_matches_recursive_reference(chapter, limit):
     assert document_text(entry, limit) == content_oracles.document_text(chapter, limit)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    chapter=st.one_of(chapters, spaced_chapters),
+    walked=st.one_of(st.none(), st.integers(0, 80), st.integers(0, 3000)),
+    data=st.data(),
+)
+def test_visible_text_serves_every_smaller_limit(chapter, walked, data):
+    entry = ArchiveEntry(path="OEBPS/ch1.xhtml", data=chapter)
+    visible = ContentDocument(entry).visible_text(walked)
+    limits = st.integers(0, 3000) if walked is None else st.integers(0, walked)
+    limit = data.draw(st.one_of(limits, st.just(walked)))
+    assert visible.text(limit) == document_text(entry, limit)
+    if walked is not None:
+        with pytest.raises(ValueError):
+            visible.text(walked + 1)
+
+
 @pytest.mark.parametrize(
     "body, expected",
     [
