@@ -13,10 +13,11 @@ and parsed once, every target's context comes from one tree walk, every alt
 is spliced in one pass over the source text, and the result is checked once
 by re-parsing it: same image count, every written alt in place. That
 re-parse also gives the written document's images and whether it is
-well-formed XML, so nothing parses it again. Contexts come from the original
-document, since alt attributes never feed context text. find_images,
-extract_context, set_alt_text and document_text are the one-image or
-one-use forms of ContentDocument and VisibleText.
+well-formed XML, so nothing parses it again; is_well_formed gives that
+verdict for bytes alone. Contexts come from the original document, since
+alt attributes never feed context text. find_images, extract_context,
+set_alt_text and document_text are the one-image or one-use forms of
+ContentDocument and VisibleText.
 """
 
 from __future__ import annotations
@@ -242,6 +243,16 @@ def decode_document(data: bytes) -> str:
 # what a strict parse raises for bytes that are not well-formed XML, or in
 # an encoding expat cannot read
 _NOT_STRICT_XML = (expat.ExpatError, LookupError, ValueError)
+
+
+def is_well_formed(data: bytes) -> bool:
+    """Whether `data` is well-formed XML, by the strict parse
+    parse_document tries first."""
+    try:
+        _parse_xml(data)
+    except _NOT_STRICT_XML:
+        return False
+    return True
 
 
 def parse_document(data: bytes, text: str | None = None) -> _Document:
@@ -570,8 +581,9 @@ def set_alt_text(doc: ArchiveEntry, occurrence: ImageOccurrence, alt: str) -> Ar
     """Set the alt attribute on exactly the occurrence's element, splicing
     the source text so every other byte's semantics survive. Returns a new
     entry marked modified; raises UnparseableDocument on undecodable input,
-    and otherwise as ContentDocument.with_alts does."""
-    return ContentDocument(doc, occurrence.doc_path).with_alts({occurrence.element_index: alt})
+    and otherwise as ContentDocument.splice does."""
+    document = ContentDocument(doc, occurrence.doc_path)
+    return document.splice({occurrence.element_index: alt})[0]
 
 
 class ContentDocument:
@@ -650,13 +662,9 @@ class ContentDocument:
         document well-formed XML: its parse was lenient, and a strict parse
         still fails with a placeholder alt spliced at each. An alt's value
         changes the verdict only by holding characters XML does not allow."""
-        if self._starts is not None:
-            return True
-        try:
-            _parse_xml(self._spliced(dict.fromkeys(indices, "alt")))
-        except _NOT_STRICT_XML:
-            return False
-        return True
+        return self._starts is not None or is_well_formed(
+            self._spliced(dict.fromkeys(indices, "alt"))
+        )
 
     def splice(self, alts: dict[int, str]) -> tuple[ArchiveEntry, list[ImageOccurrence]]:
         """A modified copy of the entry with each image index in `alts` given
@@ -679,7 +687,3 @@ class ContentDocument:
         ):
             raise RewriteFailed(f"{self.doc_path}: alt splice verification failed")
         return self.doc.with_data(data, well_formed=root.starts is not None), images
-
-    def with_alts(self, alts: dict[int, str]) -> ArchiveEntry:
-        """The modified copy of the entry `splice` gives."""
-        return self.splice(alts)[0]

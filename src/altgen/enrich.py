@@ -116,7 +116,6 @@ def enrich_metadata(
     detector: Callable[[str], tuple[str, float]],
     *,
     fallback_title: str | None = None,
-    include_alt_feature: bool = True,
     texts: Mapping[str, VisibleText | None] | None = None,
 ) -> tuple[PackageDocument, list[AppliedFix]]:
     """Returns the enriched package and the list of applied fixes.
@@ -128,8 +127,8 @@ def enrich_metadata(
 
     detector is detect_language-shaped: text -> (lang, confidence), raising
     on failure. fallback_title is the filename stem used when dc:title is
-    missing. include_alt_feature adds accessibilityFeature=altText and
-    should be set only when alt repair actually runs. texts is passed to
+    missing. A package without accessMode gets accessMode textual and
+    visual and accessibilityFeature altText. texts is passed to
     sample_spine_text.
     """
     metadata = list(pkg.metadata)
@@ -159,10 +158,11 @@ def enrich_metadata(
                     metadata[i] = replace(entry, value=detected)
 
     if not pkg.accessibility_values("accessMode"):
-        additions = [("accessMode", "textual"), ("accessMode", "visual")]
-        if include_alt_feature:
-            additions.append(("accessibilityFeature", "altText"))
-        for prop, value in additions:
+        for prop, value in (
+            ("accessMode", "textual"),
+            ("accessMode", "visual"),
+            ("accessibilityFeature", "altText"),
+        ):
             metadata.append(MetaEntry(MetaKind.SCHEMA_ACCESSIBILITY, value, property=prop))
             fixes.append(AppliedFix(f"schema:{prop}", None, value, FixReason.DEFAULT))
 

@@ -125,19 +125,12 @@ def _ranks(grams: tuple[str, ...]) -> dict[str, int]:
 
 
 def _distance(sample: dict[str, int], reference: dict[str, int], penalty: int) -> int:
-    """Out-of-place distance between two rank dicts."""
+    """Out-of-place distance between two rank dicts: the sum over sample
+    trigrams of the rank difference in the reference, or `penalty` when the
+    reference lacks it."""
     hits = sample.keys() & reference.keys()
     misses = len(sample) - len(hits)
     return penalty * misses + sum(abs(sample[gram] - reference[gram]) for gram in hits)
-
-
-def out_of_place_distance(
-    sample: tuple[str, ...], reference: tuple[str, ...], penalty: int = PROFILE_SIZE
-) -> int:
-    """Sum over sample trigrams of the rank difference in the reference, or
-    `penalty` when the reference lacks it. Each tuple holds distinct
-    trigrams, as ranked profiles do."""
-    return _distance(_ranks(sample), _ranks(reference), penalty)
 
 
 def detect_statistical(text: str, profiles: list[LanguageProfile]) -> LanguageVote:

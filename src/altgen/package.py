@@ -171,11 +171,16 @@ def has_scheme(ref: str) -> bool:
 def resolve_href(base_dir: str, href: str) -> str:
     """Resolve a (possibly percent-encoded) relative href to a container path.
 
-    Absolute URLs come back verbatim; fragments and queries are dropped.
+    Absolute URLs come back verbatim; fragments and queries are dropped. An
+    href urlsplit rejects (such as "//[x") also comes back verbatim, so it
+    names no entry.
     """
     if has_scheme(href):
         return href
-    parts = urlsplit(href)
+    try:
+        parts = urlsplit(href)
+    except ValueError:
+        return href
     path = unquote(parts.path)
     if not path:
         return href

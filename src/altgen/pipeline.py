@@ -11,10 +11,11 @@ its targets, then splices all their alts in document order, checked by one
 re-parse of the bytes written. That re-parse is also the written document's
 integrity verdict and its part of the re-audit, which audits the repaired
 model (untouched documents as first parsed, the enriched package) rather
-than the written file. A document no alt can make well-formed XML fails its
-book before any caption request. A document that cannot be repaired fails
-its file, never the batch. Setting ALTGEN_EPOCH freezes the timing clock so
-reports become byte-stable.
+than the written file. Enrichment returns a new package only when it changes
+one, and only then is the OPF serialized and written again. A document no
+alt can make well-formed XML fails its book before any caption request. A
+document that cannot be repaired fails its file, never the batch. Setting
+ALTGEN_EPOCH freezes the timing clock so reports become byte-stable.
 
 Files are independent. Audit and repair run in up to `jobs` worker
 processes from the default multiprocessing context, largest file first, in
@@ -62,7 +63,7 @@ from altgen.enrich import SAMPLE_CHARS, AppliedFix, enrich_metadata, sampled_doc
 from altgen.errors import AltgenError
 from altgen.langdetect import EnsembleConfig, detect_language
 from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate
-from altgen.package import MetaKind, PackageDocument, parse_opf
+from altgen.package import MetaKind, PackageDocument, parse_opf, serialize_opf
 from altgen.reconstruct import (
     FindingCode,
     IntegrityErrors,
@@ -419,12 +420,14 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
         archive,
         lambda text: detect_language(text, ensemble),
         fallback_title=path.stem,
-        include_alt_feature=True,
         texts=texts,
     )
 
     try:
-        out_bytes = rebuild(archive, pkg_enriched, modified, opf_changed=pkg_enriched is not pkg)
+        if pkg_enriched is not pkg:  # enrichment changed the package
+            opf_entry = archive.entry(archive.rootfile_path)
+            modified.append(opf_entry.with_data(serialize_opf(pkg_enriched)))
+        out_bytes = rebuild(archive, pkg_enriched, modified)
         write_file_atomic(out_path, out_bytes)
     except (AltgenError, OSError) as exc:
         return finish(

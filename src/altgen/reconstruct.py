@@ -8,7 +8,6 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from xml.etree import ElementTree as ET
 
 from altgen.container import (
     ArchiveEntry,
@@ -18,14 +17,9 @@ from altgen.container import (
     MIMETYPE_PATH,
     write_epub,
 )
+from altgen.content import is_well_formed
 from altgen.errors import AltgenError
-from altgen.package import (
-    PackageDocument,
-    XHTML_MEDIA_TYPES,
-    has_scheme,
-    parse_opf,
-    serialize_opf,
-)
+from altgen.package import PackageDocument, XHTML_MEDIA_TYPES, has_scheme
 
 _CONTENT_EXTENSIONS = frozenset(
     {".xhtml", ".html", ".htm", ".png", ".jpg", ".jpeg", ".gif", ".svg", ".webp"}
@@ -79,24 +73,12 @@ def finding(code: FindingCode, path: str) -> IntegrityFinding:
     return IntegrityFinding(code, _SEVERITY_BY_CODE[code], path)
 
 
-def _well_formed(entry: ArchiveEntry) -> bool:
-    """The entry's own verdict when a strict parse of its bytes gave one,
-    else a strict parse's."""
-    if entry.well_formed is not None:
-        return entry.well_formed
-    try:
-        ET.fromstring(entry.data)
-    except (ET.ParseError, LookupError, ValueError):  # or an encoding expat cannot read
-        return False
-    return True
-
-
 def integrity_check(archive: EpubArchive, pkg: PackageDocument) -> list[IntegrityFinding]:
     """Structural findings; never raises. Deterministic order.
 
-    A modified content document is checked by a strict XML parse of its
-    bytes; one that carries the verdict of such a parse (`well_formed`, set
-    by ContentDocument.splice) is not parsed again."""
+    A modified content document must be well-formed XML. The verdict is the
+    entry's own (`well_formed`, set by ContentDocument.splice) when it has
+    one, else content.is_well_formed's on its bytes."""
     findings: list[IntegrityFinding] = []
 
     manifest_hrefs = set()
@@ -135,7 +117,10 @@ def integrity_check(archive: EpubArchive, pkg: PackageDocument) -> list[Integrit
             continue
         ext = posixpath.splitext(entry.path)[1].lower()
         if entry.path in xhtml_hrefs or ext in (".xhtml", ".html", ".htm"):
-            if not _well_formed(entry):
+            well_formed = entry.well_formed
+            if well_formed is None:
+                well_formed = is_well_formed(entry.data)
+            if not well_formed:
                 findings.append(finding(FindingCode.MALFORMED_MODIFIED_DOC, entry.path))
 
     findings.sort(key=lambda f: (f.path, f.code.value))
@@ -146,35 +131,24 @@ def rebuild(
     archive: EpubArchive,
     pkg: PackageDocument,
     modified_docs: list[ArchiveEntry] | None = None,
-    *,
-    opf_changed: bool | None = None,
 ) -> bytes:
-    """Assemble output bytes: swap in modified docs, re-serialize the OPF
-    only if the model changed, check integrity, write.
+    """Assemble output bytes: swap in the modified entries, check integrity,
+    write.
 
-    `opf_changed` says whether pkg differs from the model of the archive's
-    OPF, as enrichment tells by returning a new package; None finds out by
-    parsing the OPF again and comparing. Raises IntegrityErrors when
-    Error-severity findings exist, InvariantViolation for a package that
-    cannot be serialized, KeyError for a modified doc whose path is not in
-    the archive.
+    `modified_docs` holds every entry that differs from the archive's, the
+    OPF included: a caller that changed the package passes its serialized
+    OPF entry, since pkg is only the model the integrity check reads. Raises
+    IntegrityErrors when Error-severity findings exist or the OPF is
+    missing, KeyError for a modified entry whose path is not in the archive.
     """
     result = archive.copy()
     for doc in modified_docs or ():
         result.replace_entry(doc)
 
-    opf_entry = result.entry(result.rootfile_path)
-    if opf_entry is None:
+    if result.entry(result.rootfile_path) is None:
         raise IntegrityErrors(
             [finding(FindingCode.MANIFEST_DANGLING_HREF, result.rootfile_path)]
         )
-    if opf_changed is None:
-        try:
-            opf_changed = parse_opf(opf_entry) != pkg
-        except AltgenError:
-            opf_changed = True
-    if opf_changed:
-        result.replace_entry(opf_entry.with_data(serialize_opf(pkg)))
 
     findings = integrity_check(result, pkg)
     errors = [f for f in findings if f.severity is FindingSeverity.ERROR]

@@ -312,9 +312,9 @@ class TestSetAltText:
         with pytest.raises(StaleOccurrence):
             set_alt_text(d, occ, "text")
 
-    def test_with_alts_past_the_last_image_is_stale(self):
+    def test_splice_past_the_last_image_is_stale(self):
         with pytest.raises(StaleOccurrence):
-            ContentDocument(doc('<img src="a.png"/>')).with_alts({3: "A fox in snow"})
+            ContentDocument(doc('<img src="a.png"/>')).splice({3: "A fox in snow"})
 
     def test_splice_returns_the_written_images_and_verdict(self):
         d = doc('<img src="a.png"/><img src="b.png" alt="A gull"/>')

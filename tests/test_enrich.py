@@ -98,14 +98,6 @@ class TestAccessibility:
             ("schema:accessibilityFeature", "altText", FixReason.DEFAULT),
         ]
 
-    def test_alt_feature_optional(self):
-        archive, pkg = load(make_book(access=False))
-        enriched, _ = enrich_metadata(
-            pkg, archive, detect_en, include_alt_feature=False
-        )
-        assert enriched.accessibility_values("accessMode") == ["textual", "visual"]
-        assert enriched.accessibility_values("accessibilityFeature") == []
-
     def test_existing_access_mode_untouched(self):
         book = make_book(
             access=False,

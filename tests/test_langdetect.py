@@ -30,11 +30,12 @@ from altgen.langdetect import (
     load_embedded_profiles,
     load_profile,
     normalize_text,
-    out_of_place_distance,
     profile_from_text,
     rank_trigrams,
     trigram_counts,
     _TwiceNormalized,
+    _distance,
+    _ranks,
 )
 from altgen.langdetect.builder import build_profiles, main as builder_main
 
@@ -111,22 +112,22 @@ class TestTrigrams:
 class TestOutOfPlace:
     def test_identical_zero(self):
         p = ("abc", "bcd", "cde")
-        assert out_of_place_distance(p, p) == 0
+        assert _distance(_ranks(p), _ranks(p), PROFILE_SIZE) == 0
 
     def test_swap_costs_two(self):
-        assert out_of_place_distance(("a", "b"), ("b", "a")) == 2
+        assert _distance(_ranks(("a", "b")), _ranks(("b", "a")), PROFILE_SIZE) == 2
 
     def test_missing_costs_penalty(self):
-        assert out_of_place_distance(("x",), ("a", "b")) == PROFILE_SIZE
+        assert _distance(_ranks(("x",)), _ranks(("a", "b")), PROFILE_SIZE) == PROFILE_SIZE
 
     def test_mixed(self):
         # "a" in place (0) + "c" absent (penalty)
-        assert out_of_place_distance(("a", "c"), ("a", "b"), penalty=7) == 7
+        assert _distance(_ranks(("a", "c")), _ranks(("a", "b")), 7) == 7
 
     def test_asymmetric_by_design(self):
         # sample trigrams drive the sum; extra reference entries are free
-        assert out_of_place_distance(("a",), ("a", "b", "c")) == 0
-        assert out_of_place_distance(("a", "b", "c"), ("a",)) == 2 * PROFILE_SIZE
+        assert _distance(_ranks(("a",)), _ranks(("a", "b", "c")), PROFILE_SIZE) == 0
+        assert _distance(_ranks(("a", "b", "c")), _ranks(("a",)), PROFILE_SIZE) == 2 * PROFILE_SIZE
 
 
 class TestStatistical:
@@ -461,7 +462,7 @@ class TestAgainstOracle:
 
     @given(_GRAMS, _GRAMS, st.integers(min_value=1, max_value=PROFILE_SIZE))
     def test_distance_equal(self, sample, reference, penalty):
-        assert out_of_place_distance(tuple(sample), tuple(reference), penalty) == (
+        assert _distance(_ranks(tuple(sample)), _ranks(tuple(reference)), penalty) == (
             oracle.out_of_place_distance(tuple(sample), tuple(reference), penalty)
         )
 

@@ -24,7 +24,7 @@ from altgen.pipeline import (
     run_repair,
     run_validate,
 )
-from epubgen import book_with_chapter, make_book, page
+from epubgen import book_with_chapter, build_zip, container_xml, make_book, opf, page
 
 
 def write_book(path: Path, **kwargs) -> Path:
@@ -290,6 +290,43 @@ class TestRunRepair:
             b"<!DOCTYPE html>", b"<!DOCTYPE html [<!ENTITY fig \"<img src='images/a.png'/>\">]>"
         )
         self._assert_isolated(*self._batch_with(tmp_path, chapter), "has no start tag")
+
+    def test_href_urlsplit_rejects_fails_only_its_book(self, tmp_path):
+        # urlsplit raises ValueError ("Invalid IPv6 URL") for "//[x"; the href
+        # then names no entry, in a chapter and in the manifest
+        (tmp_path / "in").mkdir()
+        manifest = [
+            ("c1", "ch1.xhtml", "application/xhtml+xml"),
+            ("img0", "//[x", "image/png"),
+        ]
+        (tmp_path / "in" / "bad.epub").write_bytes(
+            build_zip(
+                [
+                    ("META-INF/container.xml", container_xml()),
+                    ("OEBPS/ch1.xhtml", page('<p>x</p><img src="//[x" alt="A fox in snow"/>')),
+                    ("OEBPS/content.opf", opf(manifest=manifest, spine=["c1"])),
+                ]
+            )
+        )
+        write_book(tmp_path / "in" / "good.epub")
+
+        audited, code = run_audit([tmp_path / "in"], PipelineConfig(jobs=1))
+        bad, good = audited
+        assert bad.status is FileStatus.AUDITED
+        assert [i.code.value for i in bad.pre_report.issues] == ["DanglingImageResource"]
+        assert good.status is FileStatus.AUDITED
+        assert code == 1
+
+        out = tmp_path / "out"
+        results, code = run_repair([tmp_path / "in"], PipelineConfig(jobs=1, output_dir=out))
+        bad, good = results
+        assert bad.status is FileStatus.FAILED
+        assert bad.failure_reason == "ManifestDanglingHref: //[x"
+        assert good.status is FileStatus.CLEAN_SKIPPED
+        assert (out / "good.epub").exists()
+        stored = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
+        assert [row["status"] for row in stored["files"]] == ["Failed", "CleanSkipped"]
+        assert code == 2
 
     def test_opf_bytes_kept_when_metadata_needs_nothing(self, tmp_path):
         book = write_book(

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from altgen.container import MIMETYPE_PATH, open_epub
-from altgen.package import MetaEntry, MetaKind, parse_opf
+from altgen.package import MetaEntry, MetaKind, parse_opf, serialize_opf
 from altgen.reconstruct import (
     FindingCode,
     FindingSeverity,
@@ -24,6 +24,11 @@ from epubgen import build_zip, container_xml, make_book, opf, page
 def load(book: bytes):
     archive = open_epub(book)
     return archive, parse_opf(archive.entry(archive.rootfile_path))
+
+
+def opf_entry(archive, pkg):
+    """The archive's OPF entry rewritten from pkg."""
+    return archive.entry(archive.rootfile_path).with_data(serialize_opf(pkg))
 
 
 class TestIntegrityCheck:
@@ -196,34 +201,20 @@ class TestRebuild:
     def test_changed_model_reserializes_opf(self):
         archive, pkg = load(make_book(language=None))
         pkg.metadata.append(MetaEntry(MetaKind.DC_LANGUAGE, "en"))
-        out = open_epub(rebuild(archive, pkg))
+        out = open_epub(rebuild(archive, pkg, [opf_entry(archive, pkg)]))
         new_pkg = parse_opf(out.entry(out.rootfile_path))
         assert new_pkg.values(MetaKind.DC_LANGUAGE) == ["en"]
 
     def test_only_opf_differs_on_metadata_change(self):
         archive, pkg = load(make_book(language=None))
         pkg.metadata.append(MetaEntry(MetaKind.DC_LANGUAGE, "en"))
-        out = open_epub(rebuild(archive, pkg))
+        out = open_epub(rebuild(archive, pkg, [opf_entry(archive, pkg)]))
         assert [e.path for e in out.entries] == [e.path for e in archive.entries]
         for before, after in zip(archive.entries, out.entries):
             if before.path == archive.rootfile_path:
                 assert after.data != before.data
             else:
                 assert after.data == before.data
-
-    def test_opf_changed_is_taken_as_told(self, monkeypatch):
-        archive, pkg = load(make_book(language=None))
-        original_opf = archive.entry(archive.rootfile_path).data
-
-        def no_parse(entry):
-            raise AssertionError("the OPF was parsed again")
-
-        monkeypatch.setattr("altgen.reconstruct.parse_opf", no_parse)
-        out = open_epub(rebuild(archive, pkg, opf_changed=False))
-        assert out.entry(out.rootfile_path).data == original_opf
-        enriched = replace(pkg, metadata=[*pkg.metadata, MetaEntry(MetaKind.DC_LANGUAGE, "en")])
-        out = open_epub(rebuild(archive, enriched, opf_changed=True))
-        assert parse_opf(out.entry(out.rootfile_path)).values(MetaKind.DC_LANGUAGE) == ["en"]
 
     def test_modified_doc_verdict_used_without_a_parse(self, monkeypatch):
         archive, pkg = load(make_book())
@@ -232,12 +223,12 @@ class TestRebuild:
         def no_parse(data):
             raise AssertionError("the chapter was parsed again")
 
-        monkeypatch.setattr("altgen.reconstruct.ET.fromstring", no_parse)
+        monkeypatch.setattr("altgen.reconstruct.is_well_formed", no_parse)
         good = ch1.with_data(page("<p>x</p>"), well_formed=True)
-        assert rebuild(archive, pkg, [good], opf_changed=False)
+        assert rebuild(archive, pkg, [good])
         bad = ch1.with_data(b"<html><p></html>", well_formed=False)
         with pytest.raises(IntegrityErrors) as excinfo:
-            rebuild(archive, pkg, [bad], opf_changed=False)
+            rebuild(archive, pkg, [bad])
         assert str(excinfo.value) == "MalformedModifiedDoc: OEBPS/ch1.xhtml"
 
     def test_modified_docs_swapped_in(self):

@@ -17,7 +17,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import epubgen
-from altgen import content, pipeline, reconstruct
+from altgen import content, pipeline
 from altgen.audit import audit
 from altgen.pipeline import FileStatus, PipelineConfig, aggregate_results, run_repair
 
@@ -129,7 +129,6 @@ def test_each_artifact_read_once_and_modified_chapters_parsed_twice(tmp_path, mo
 
     count(pipeline, "open_epub", "open_epub")
     count(pipeline, "parse_opf", "parse_opf")
-    count(reconstruct, "parse_opf", "parse_opf")
     count(content, "parse_document", "parse_document")
     count(ET, "fromstring", "ET.fromstring")
 

@@ -179,7 +179,7 @@ def test_single_pass_matches_per_image_reference(chapter, data):
     document = ContentDocument(entry)
     assert document.images == occurrences
     assert document.contexts(sorted(alts), PKG) == expected_contexts
-    repaired = document.with_alts(alts)
+    repaired = document.splice(alts)[0]
     assert repaired.data == expected_bytes
     assert repaired.modified
 
