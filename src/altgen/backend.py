@@ -8,20 +8,28 @@ failures: two retries with 0.5 s then 2 s backoff. Redirects are rejected,
 not followed, and a response body is read up to MAX_RESPONSE_BYTES.
 
 Both backends caption a batch with `generate_alts`, which returns results
-in request order, optionally stopping at the first failure. The remote
-client sends one document's caption requests together, at most
-DEFAULT_INFLIGHT_CAP (4) in flight at once. The cap is a semaphore: the
-pipeline makes one `multiprocessing` semaphore and hands it to the client
-in every worker process, so the cap holds across the whole run. Callers
-apply the results in document order, so output does not depend on which
-answer arrives first. Validation embeds up to 32 texts (16 reference pairs)
-per /v1/embed request.
+in request order, optionally stopping at the first failure, and run a batch
+of any other calls with `map_requests`. Both go through `fan_out`, the one
+thread fan-out: the stub runs its batches serially in the calling thread,
+the remote client on up to DEFAULT_INFLIGHT_CAP (4) threads. The remote
+client sends each distinct caption request of a batch once: requests with
+equal wire bodies share one answer. The cap is a semaphore: the pipeline
+makes one `multiprocessing` semaphore and hands it to the client in every
+worker process, so the cap holds across the whole run. Callers use the
+results in request order, so output does not depend on which answer
+arrives first. Validation embeds up to 32 texts (16 reference pairs) per
+/v1/embed request, through `map_requests`.
+
+A reply that is not HTTP at all (a bad status line, an overlong header
+line, a body cut short) is a MalformedResponse and is not retried; a
+connection closed before any reply is a BackendUnavailable.
 """
 
 from __future__ import annotations
 
 import base64
 import functools
+import http.client
 import json
 import math
 import posixpath
@@ -129,14 +137,42 @@ def _attempt(generate, request: CaptionRequest) -> AltCandidate | BackendError:
         return exc
 
 
-def _until_failure(outcomes) -> list[AltCandidate | BackendError]:
-    """The outcomes up to and including the first BackendError."""
-    out = []
-    for outcome in outcomes:
-        out.append(outcome)
-        if isinstance(outcome, BackendError):
-            break
-    return out
+def _failed(outcome) -> bool:
+    return isinstance(outcome, BackendError)
+
+
+def fan_out(fn, items, workers: int, stop=None) -> list:
+    """[fn(item) for item in items], in item order, run on up to `workers`
+    threads; with one worker, or one item, in the calling thread.
+
+    With `stop`, the results end at the first one in item order for which
+    stop(result) holds. Once item i's result stops, no item after i that has
+    not started is run; those before i still run, so the stop returned is
+    the first in item order, whichever came first in time."""
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
+        results = []
+        for item in items:
+            results.append(fn(item))
+            if stop is not None and stop(results[-1]):
+                break
+        return results
+    first_stop = len(items)  # lowest stopped index seen so far
+    lock = threading.Lock()
+
+    def run(i: int):
+        nonlocal first_stop
+        if i > first_stop:
+            return None  # never run, and cut off below
+        result = fn(items[i])
+        if stop is not None and stop(result):
+            with lock:
+                first_stop = min(first_stop, i)
+        return result
+
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        results = list(pool.map(run, range(len(items))))
+    return results[: first_stop + 1]
 
 
 def fit_to_length(text: str, max_length: int) -> str:
@@ -210,8 +246,12 @@ class StubBackend:
         """One result per request, in request order; a failed request yields
         its BackendError. With stop_on_error the results end at the first
         failure, and no later request is made."""
-        outcomes = (_attempt(self.generate_alt, request) for request in requests)
-        return _until_failure(outcomes) if stop_on_error else list(outcomes)
+        attempt = functools.partial(_attempt, self.generate_alt)
+        return self.map_requests(attempt, requests, _failed if stop_on_error else None)
+
+    def map_requests(self, fn, items, stop=None) -> list:
+        """`fan_out` in the calling thread: the stub's work is all CPU."""
+        return fan_out(fn, items, 1, stop)
 
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
         if not texts:
@@ -308,6 +348,9 @@ class RemoteBackend:
                 with self._gate:
                     with self._opener.open(request, timeout=self.timeout) as response:
                         raw = response.read(MAX_RESPONSE_BYTES + 1)
+                        if response.length and len(raw) <= MAX_RESPONSE_BYTES:
+                            # the connection closed before Content-Length bytes
+                            raise http.client.IncompleteRead(raw, response.length)
                 break
             except urllib.error.HTTPError as exc:
                 if 300 <= exc.code < 400:
@@ -315,7 +358,11 @@ class RemoteBackend:
                 excerpt = exc.read(200).decode("utf-8", "replace")
                 raise BackendRejected(f"status {exc.code}: {excerpt}") from exc
             except (urllib.error.URLError, TimeoutError, OSError) as exc:
+                # RemoteDisconnected is an OSError as well as an
+                # HTTPException: a connection closed before any reply
                 last_error = exc
+            except http.client.HTTPException as exc:
+                raise MalformedResponse(f"reply is not HTTP: {exc!r}") from exc
         else:
             raise BackendUnavailable(str(last_error)) from last_error
         if len(raw) > MAX_RESPONSE_BYTES:
@@ -351,32 +398,44 @@ class RemoteBackend:
         self, requests: list[CaptionRequest], stop_on_error: bool = False
     ) -> list[AltCandidate | BackendError]:
         """One result per request, in request order; a failed request yields
-        its BackendError. Requests run on up to `inflight_cap` threads, and
-        the semaphore still caps them across concurrent callers.
+        its BackendError. Requests with equal wire bodies (the same image
+        bytes, media type, context, max_length and language) are sent once
+        and share the result. The distinct requests go out through
+        `map_requests`, in the order of their first occurrence.
 
         With stop_on_error the results end at the first failure in request
-        order. Once request i fails, no request after i that has not started
-        is sent; those before i still run, so the failure returned is the
-        first in request order, whichever failed first in time."""
+        order, and no distinct request after it that has not started is
+        sent."""
+        slots: dict[tuple, int] = {}
+        distinct: list[CaptionRequest] = []
+        index = []  # each request's place in `distinct`
+        for request in requests:
+            key = (
+                request.image_bytes,
+                request.media_type,
+                request.context,
+                request.max_length,
+                request.language,
+            )
+            if key not in slots:
+                slots[key] = len(distinct)
+                distinct.append(request)
+            index.append(slots[key])
         attempt = functools.partial(_attempt, self.generate_alt)
-        if len(requests) <= 1:
-            return [attempt(request) for request in requests]
-        first_failure = len(requests)  # lowest failed index seen so far
-        lock = threading.Lock()
+        outcomes = self.map_requests(attempt, distinct, _failed if stop_on_error else None)
+        # `distinct` is in order of first use, so every request up to the
+        # first failure in request order has an outcome
+        results = []
+        for k in index:
+            results.append(outcomes[k])
+            if stop_on_error and _failed(outcomes[k]):
+                break
+        return results
 
-        def run(i: int) -> AltCandidate | BackendError | None:
-            nonlocal first_failure
-            if i > first_failure:
-                return None  # never sent, and never read by _until_failure
-            outcome = attempt(requests[i])
-            if stop_on_error and isinstance(outcome, BackendError):
-                with lock:
-                    first_failure = min(first_failure, i)
-            return outcome
-
-        with ThreadPoolExecutor(max_workers=min(self.inflight_cap, len(requests))) as pool:
-            outcomes = pool.map(run, range(len(requests)))
-            return _until_failure(outcomes) if stop_on_error else list(outcomes)
+    def map_requests(self, fn, items, stop=None) -> list:
+        """`fan_out` on up to `inflight_cap` threads; the semaphore still
+        caps the requests of concurrent callers."""
+        return fan_out(fn, items, self.inflight_cap, stop)
 
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
         if not texts:

@@ -7,6 +7,7 @@ whitespace, strip leading/trailing punctuation, lowercase, drop empties.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import unicodedata
@@ -216,13 +217,17 @@ def corpus_metrics(
     *,
     bleu_max_n: int = 4,
     smoothing: bool = False,
+    mapper: Callable = map,
 ) -> MetricReport:
     """Mean cosine and sentence BLEU over (candidate, reference) text pairs.
 
     Pairs are embedded EMBED_CHUNK_PAIRS at a time, one embedder call per
-    chunk. A pair whose embedding or scoring fails is excluded from that
-    metric's mean and counted in the report. err_percent is left unset; the
-    pipeline fills it from stored audit reports.
+    chunk. `mapper(fn, chunks)` runs the chunks and gives their results in
+    chunk order, like the builtin `map` it defaults to; a backend's
+    `map_requests` runs them concurrently. A pair whose embedding or scoring
+    fails is excluded from that metric's mean and counted in the report.
+    err_percent is left unset; the pipeline fills it from stored audit
+    reports.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
@@ -230,8 +235,12 @@ def corpus_metrics(
     bleus: list[float] = []
     embed_failures = 0
     bleu_failures = 0
-    for start in range(0, len(pairs), EMBED_CHUNK_PAIRS):
-        for value in _chunk_cosines(pairs[start : start + EMBED_CHUNK_PAIRS], embedder):
+    chunks = [
+        pairs[start : start + EMBED_CHUNK_PAIRS]
+        for start in range(0, len(pairs), EMBED_CHUNK_PAIRS)
+    ]
+    for values in mapper(functools.partial(_chunk_cosines, embedder=embedder), chunks):
+        for value in values:
             if value is None:
                 embed_failures += 1
             else:

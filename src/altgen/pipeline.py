@@ -6,16 +6,17 @@ enrichment, reconstruction, re-audit. Repair unzips a book once and parses
 its OPF once. Each content document is parsed once; that parse gives the
 audit its images, the captions their targets and their contexts (one tree
 walk per document), and the language sample its text, and its tree is then
-released. Captioning sends one `generate_alts` call per document for all of
-its targets, then splices all their alts in document order, checked by one
-re-parse of the bytes written. That re-parse is also the written document's
-integrity verdict and its part of the re-audit, which audits the repaired
-model (untouched documents as first parsed, the enriched package) rather
-than the written file. Enrichment returns a new package only when it changes
-one, and only then is the OPF serialized and written again. A document no
-alt can make well-formed XML fails its book before any caption request. A
-document that cannot be repaired fails its file, never the batch. Setting
-ALTGEN_EPOCH freezes the timing clock so reports become byte-stable.
+released. Captioning sends one `generate_alts` call per book for the
+targets of all its documents, then splices each document's alts, document
+by document in book order, checked by one re-parse of the bytes written.
+That re-parse is also the written document's integrity verdict and its part
+of the re-audit, which audits the repaired model (untouched documents as
+first parsed, the enriched package) rather than the written file.
+Enrichment returns a new package only when it changes one, and only then is
+the OPF serialized and written again. A document no alt can make
+well-formed XML fails its book before any caption request. A document that
+cannot be repaired fails its file, never the batch. Setting ALTGEN_EPOCH
+freezes the timing clock so reports become byte-stable.
 
 Files are independent. Audit and repair run in up to `jobs` worker
 processes from the default multiprocessing context, largest file first, in
@@ -27,7 +28,9 @@ once, in the pool initializer; remote backends in all workers share one
 in-flight semaphore made by the parent. Results are sorted by input path,
 so parallel runs give the same per-file bytes and report as jobs=1. A
 worker process that dies is a PipelineError. Validation runs in the calling
-process.
+process, its embedding requests through the backend's `map_requests`:
+concurrent under the in-flight cap for a remote backend, serial for the
+stub.
 """
 
 from __future__ import annotations
@@ -363,22 +366,26 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
                 raise IntegrityErrors(
                     [finding(FindingCode.MALFORMED_MODIFIED_DOC, document.doc_path)]
                 )
-        for document, targets, contexts in chapters:
-            requests = [
-                CaptionRequest(
-                    image_bytes=image_entry.data,
-                    media_type=media_type,
-                    context=contexts[occ.element_index],
-                    max_length=config.max_alt_length,
-                    language=language,
-                    source_name=posixpath.basename(occ.src),
-                )
-                for occ, image_entry, media_type in targets
-            ]
+        requests = [
+            CaptionRequest(
+                image_bytes=image_entry.data,
+                media_type=media_type,
+                context=contexts[occ.element_index],
+                max_length=config.max_alt_length,
+                language=language,
+                source_name=posixpath.basename(occ.src),
+            )
+            for _, targets, contexts in chapters
+            for occ, image_entry, media_type in targets
+        ]
+        # the whole book's requests go out together; results come back in
+        # request order, which is book order, and under --strict they stop
+        # at the first failure
+        outcomes = iter(backend.generate_alts(requests, stop_on_error=config.strict))
+        for document, targets, _ in chapters:
             alts: dict[int, str] = {}
-            # results come back in request order, which is document order;
-            # under --strict they stop at the first failure
-            outcomes = backend.generate_alts(requests, stop_on_error=config.strict)
+            # zip stops at the chapter's last target without taking the
+            # next chapter's first outcome
             for (occ, _, _), outcome in zip(targets, outcomes):
                 if isinstance(outcome, BackendError):
                     if config.strict:
@@ -690,6 +697,7 @@ def run_validate(
             timings,
             bleu_max_n=config.bleu_max_n,
             smoothing=config.smoothing,
+            mapper=backend.map_requests,
         )
     else:
         report = MetricReport(n_files=len(timings))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from collections import deque
@@ -119,3 +120,63 @@ def figure_captions(failing: frozenset[int] = frozenset()):
         return 200, json.dumps(payload).encode("utf-8")
 
     return respond
+
+
+class RawReplyServer:
+    """Answers every request with the same raw bytes, which need not be
+    HTTP, then closes the connection. The request is read in full first, so
+    the client sees the reply rather than a reset."""
+
+    def __init__(self, reply: bytes) -> None:
+        self.reply = reply
+        self.paths: list[str] = []  # the path of each request answered
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.01)
+        self.stopped = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def url(self) -> str:
+        host, port = self.sock.getsockname()[:2]
+        return f"http://{host}:{port}"
+
+    def _serve(self) -> None:
+        while not self.stopped.is_set():
+            try:
+                conn, _ = self.sock.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(5)
+            threading.Thread(target=self._answer, args=(conn,), daemon=True).start()
+
+    def _answer(self, conn: socket.socket) -> None:
+        with conn:
+            data = b""
+            while b"\r\n\r\n" not in data:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                data += chunk
+            head, _, body = data.partition(b"\r\n\r\n")
+            length = 0
+            for line in head.split(b"\r\n")[1:]:
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            while len(body) < length:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                body += chunk
+            self.paths.append(head.split(b" ", 2)[1].decode("ascii"))
+            conn.sendall(self.reply)
+            conn.shutdown(socket.SHUT_WR)
+
+    def __enter__(self) -> "RawReplyServer":
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stopped.set()
+        self.thread.join()
+        self.sock.close()

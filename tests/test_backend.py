@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
 import epubgen
-from mockserver import MockBackendServer, figure_captions
+from mockserver import MockBackendServer, RawReplyServer, figure_captions
 from altgen.backend import (
     BackendRejected,
     BackendUnavailable,
@@ -20,6 +22,7 @@ from altgen.backend import (
     StubBackend,
     TextTooLong,
     canonical_json,
+    fan_out,
     fit_to_length,
 )
 from altgen.content import ContextBundle
@@ -253,6 +256,36 @@ class TestRemoteErrors:
             backend.generate_alt(png_request())
         assert sleeps == [0.5, 2.0]
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"GARBAGE\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}",
+        ],
+        ids=["BadStatusLine", "LineTooLong", "BadChunk", "ShortBody"],
+    )
+    def test_reply_that_is_not_http_is_malformed_without_retry(self, reply):
+        with RawReplyServer(reply) as server:
+            sleeps: list[float] = []
+            backend = RemoteBackend(server.url, sleep=sleeps.append)
+            with pytest.raises(MalformedResponse) as err:
+                backend.generate_alt(png_request())
+        assert "reply is not HTTP" in str(err.value)
+        assert sleeps == []
+        assert server.paths == ["/v1/caption"]
+
+    def test_connection_closed_without_reply_retries_then_unavailable(self):
+        # RemoteDisconnected is an HTTPException too, but it stays retried
+        with RawReplyServer(b"") as server:
+            sleeps: list[float] = []
+            backend = RemoteBackend(server.url, sleep=sleeps.append)
+            with pytest.raises(BackendUnavailable):
+                backend.embed_texts(["a b"])
+        assert sleeps == [0.5, 2.0]
+        assert server.paths == ["/v1/embed"] * 3
+
     def test_non_json_response_malformed(self):
         with MockBackendServer() as server:
             server.enqueue_raw(200, b"<html>gateway</html>")
@@ -358,6 +391,40 @@ class TestConcurrencyCap:
             assert server.script.max_active <= 4
 
 
+class TestFanOut:
+    def test_results_in_item_order_on_threads_and_serially(self):
+        threads: set[int] = set()
+
+        def square(x: int) -> int:
+            threads.add(threading.get_ident())
+            time.sleep(0.01 * (8 - x))  # later items finish first
+            return x * x
+
+        assert fan_out(square, range(8), 4) == [x * x for x in range(8)]
+        assert threading.get_ident() not in threads and len(threads) > 1
+        threads.clear()
+        assert fan_out(square, range(8), 1) == [x * x for x in range(8)]
+        assert threads == {threading.get_ident()}
+
+    def test_stop_is_the_first_in_item_order_under_contention(self):
+        # more threads than cores, items finishing out of order and a short
+        # switch interval: a lost update of the lowest stopped index would
+        # end the results past it
+        def uneven(i: int) -> int:
+            time.sleep(0.001 * (i * 7 % 5))
+            return i
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(50):
+                stops = set(random.Random(trial).sample(range(32), 4))
+                results = fan_out(uneven, range(32), 8, stop=stops.__contains__)
+                assert results == list(range(min(stops) + 1))
+        finally:
+            sys.setswitchinterval(old)
+
+
 class TestResponseHardening:
     def test_body_over_the_cap_is_malformed(self, monkeypatch):
         body = json.dumps({"lang": "fr", "confidence": 0.97}).encode("utf-8")
@@ -460,3 +527,31 @@ class TestGenerateAlts:
         assert sorted(sent) == ["Figure 0", "Figure 1"]
         assert results[0].alt_text == "Figure number 0."
         assert "no caption for figure 1" in str(results[1]) and len(results) == 2
+
+    def test_remote_sends_equal_requests_once(self):
+        # equal bytes, media type, context, length and language; the names
+        # differ, but they are not sent
+        requests = [
+            png_request(context=ContextBundle(figcaption=c), source_name=name)
+            for c, name in [("Figure 0", "a.png"), ("Figure 1", "b.png"), ("Figure 0", "c.png")]
+        ]
+        with MockBackendServer() as server:
+            server.script.respond = figure_captions()
+            results = RemoteBackend(server.url).generate_alts(requests)
+            sent = sorted(json.loads(r.body)["context"]["figcaption"] for r in server.script.requests)
+        assert sent == ["Figure 0", "Figure 1"]
+        assert [r.alt_text for r in results] == [
+            "Figure number 0.", "Figure number 1.", "Figure number 0."
+        ]
+
+    def test_remote_equal_requests_share_a_failure(self):
+        requests = self._requests(["Figure 0", "Figure 1", "Figure 0"])
+        with MockBackendServer() as server:
+            server.script.respond = figure_captions(frozenset({0}))
+            backend = RemoteBackend(server.url)
+            lenient = backend.generate_alts(requests)
+            strict = backend.generate_alts(requests, stop_on_error=True)
+        assert [type(r).__name__ for r in lenient] == [
+            "BackendRejected", "AltCandidate", "BackendRejected"
+        ]
+        assert len(strict) == 1 and isinstance(strict[0], BackendRejected)

@@ -1,6 +1,7 @@
 """The remote path end to end against the mock service: caption fan-out
-within a document, document-order results under --strict, and batched
-embeddings in validate."""
+across a whole book, book-order results under --strict, one request for
+equal captions, batched embeddings sent concurrently in validate, and
+replies that are not HTTP."""
 
 from __future__ import annotations
 
@@ -12,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import epubgen
-from mockserver import MockBackendServer, figure_captions
+from mockserver import MockBackendServer, RawReplyServer, figure_captions
 from altgen.backend import RemoteBackend
 from altgen.cli import main
+from altgen.container import open_epub
+from altgen.content import find_images
 from altgen.metrics import EMBED_CHUNK_PAIRS, corpus_metrics
 from altgen.pipeline import REPORT_FILENAME
 
@@ -149,7 +152,8 @@ def test_validate_embeds_one_request_per_chunk(n_pairs):
     pairs = [(f"a red fox {k}", f"the fox at dusk {k % 3}") for k in range(n_pairs)]
     with MockBackendServer() as server:
         server.script.respond = _hashed_embeddings()
-        report = corpus_metrics(pairs, RemoteBackend(server.url).embed_texts)
+        backend = RemoteBackend(server.url)
+        report = corpus_metrics(pairs, backend.embed_texts, mapper=backend.map_requests)
         sizes = [len(json.loads(r.body)["texts"]) for r in server.script.requests]
     assert len(sizes) == math.ceil(n_pairs / EMBED_CHUNK_PAIRS)
     assert sum(sizes) == 2 * n_pairs and max(sizes) <= 2 * EMBED_CHUNK_PAIRS
@@ -160,9 +164,203 @@ def test_refused_text_fails_only_its_pair():
     pairs = [(f"a red fox {k}", "the fox at dusk") for k in range(EMBED_CHUNK_PAIRS + 2)]
     with MockBackendServer() as server:
         server.script.respond = _hashed_embeddings(failing_text="a red fox 3")
-        report = corpus_metrics(pairs, RemoteBackend(server.url).embed_texts)
+        backend = RemoteBackend(server.url)
+        report = corpus_metrics(pairs, backend.embed_texts, mapper=backend.map_requests)
         sizes = [len(json.loads(r.body)["texts"]) for r in server.script.requests]
-    # the first chunk is refused and retried pair by pair; the second is not
-    assert sizes == [2 * EMBED_CHUNK_PAIRS] + [2] * EMBED_CHUNK_PAIRS + [4]
+    # the first chunk is refused and retried pair by pair; the second is not.
+    # The chunks run concurrently, so only the multiset of sizes is fixed.
+    assert sorted(sizes) == sorted([2 * EMBED_CHUNK_PAIRS] + [2] * EMBED_CHUNK_PAIRS + [4])
     assert report.embed_failures == 1
     assert report.n_pairs == EMBED_CHUNK_PAIRS + 2
+
+
+def _one_figure_per_chapter(path: Path, n_chapters: int) -> Path:
+    path.write_bytes(
+        epubgen.make_book(
+            n_chapters=n_chapters,
+            images=[
+                {"chapter": k, "name": f"fig{k}.png", "alt": None, "caption": f"Figure {k}"}
+                for k in range(n_chapters)
+            ],
+        )
+    )
+    return path
+
+
+def test_book_captions_overlap_across_chapters(tmp_path, monkeypatch, capsys):
+    # one target per chapter: a fan-out per chapter would send them one at a time
+    monkeypatch.setenv("ALTGEN_EPOCH", "0")
+    book = _one_figure_per_chapter(tmp_path / "book.epub", 3)
+    with MockBackendServer() as server:
+        server.script.respond = figure_captions()
+        code, report = _repair(book, tmp_path / "fanout", server)
+        fanout_inflight = server.script.max_active
+        monkeypatch.setattr(
+            "altgen.pipeline.make_backend",
+            lambda config: RemoteBackend(config.backend, inflight_cap=1),
+        )
+        seq_code, seq_report = _repair(book, tmp_path / "sequential", server)
+    capsys.readouterr()
+    assert code == seq_code == 0
+    assert 1 < fanout_inflight <= 3
+    assert report["files"][0]["alts_written"] == 3
+    assert (tmp_path / "fanout" / "book.epub").read_bytes() == (
+        tmp_path / "sequential" / "book.epub"
+    ).read_bytes()
+    assert _without_output_path(report) == _without_output_path(seq_report)
+
+
+def test_strict_fails_on_first_failure_in_book_order(tmp_path, capsys):
+    book = _one_figure_per_chapter(tmp_path / "book.epub", 4)
+    with MockBackendServer() as server:
+        # chapter 4's figure fails before chapter 2's, which comes first in the book
+        server.script.respond = figure_captions(frozenset({1, 3}))
+        code, report = _repair(book, tmp_path / "strict", server, "--strict")
+    capsys.readouterr()
+    row = report["files"][0]
+    assert code == 2
+    assert row["status"] == "Failed"
+    assert "no caption for figure 1" in row["reason"]
+    assert row["caption_failures"] == 1
+    assert not (tmp_path / "strict" / "book.epub").exists()
+
+
+def _twin_chapters(path: Path) -> Path:
+    """Two chapters alike but for their image's name; the images have equal
+    bytes, so both captions have the same request body."""
+    chapter = (
+        "<h1>Harbour</h1><p>The boats came in at dusk.</p>"
+        '<figure><img src="images/{name}"/><figcaption>Figure 0</figcaption></figure>'
+    )
+    manifest = [
+        ("c1", "ch1.xhtml", "application/xhtml+xml"),
+        ("c2", "ch2.xhtml", "application/xhtml+xml"),
+        ("a", "images/a.png", "image/png"),
+        ("b", "images/b.png", "image/png"),
+    ]
+    path.write_bytes(
+        epubgen.build_zip(
+            [
+                ("META-INF/container.xml", epubgen.container_xml()),
+                ("OEBPS/ch1.xhtml", epubgen.page(chapter.format(name="a.png"))),
+                ("OEBPS/ch2.xhtml", epubgen.page(chapter.format(name="b.png"))),
+                ("OEBPS/content.opf", epubgen.opf(manifest=manifest, spine=["c1", "c2"])),
+                ("OEBPS/images/a.png", epubgen.tiny_png()),
+                ("OEBPS/images/b.png", epubgen.tiny_png()),
+            ]
+        )
+    )
+    return path
+
+
+@pytest.mark.parametrize("failing", [frozenset(), frozenset({0})])
+def test_equal_captions_in_a_book_are_requested_once(tmp_path, capsys, failing):
+    book = _twin_chapters(tmp_path / "book.epub")
+    with MockBackendServer() as server:
+        server.script.respond = figure_captions(failing)
+        code, report = _repair(book, tmp_path / "out", server)
+        captions = [r for r in server.script.requests if r.path == "/v1/caption"]
+    capsys.readouterr()
+    row = report["files"][0]
+    assert len(captions) == 1
+    if failing:
+        # a failure still counts once per image
+        assert (row["alts_written"], row["caption_failures"]) == (0, 2)
+        return
+    assert code == 0
+    assert (row["alts_written"], row["caption_failures"]) == (2, 0)
+    repaired = open_epub((tmp_path / "out" / "book.epub").read_bytes())
+    alts = [
+        occ.existing_alt
+        for doc in ("OEBPS/ch1.xhtml", "OEBPS/ch2.xhtml")
+        for occ in find_images(repaired.entry(doc), doc)
+    ]
+    assert alts == ["Figure number 0.", "Figure number 0."]
+
+
+def _repaired_with_references(tmp_path: Path, n_images: int) -> tuple[Path, Path]:
+    """A book repaired with the stub, and a reference for each of its alts."""
+    book = tmp_path / "book.epub"
+    book.write_bytes(
+        epubgen.make_book(
+            n_chapters=2,
+            images=[
+                {"chapter": k % 2, "name": f"fig{k}.png", "alt": None, "caption": f"Figure {k}"}
+                for k in range(n_images)
+            ],
+        )
+    )
+    out = tmp_path / "repaired"
+    assert main(["repair", str(book), "-o", str(out), "--backend", "stub", "--jobs", "1"]) == 0
+    repaired = open_epub((out / "book.epub").read_bytes())
+    rows = []
+    for doc in ("OEBPS/ch1.xhtml", "OEBPS/ch2.xhtml"):
+        for index, occ in enumerate(find_images(repaired.entry(doc), doc)):
+            rows.append({"epub": "book.epub", "doc": doc, "index": index,
+                         "alt": f"a figure of the harbour {index % 3}"})
+    refs = tmp_path / "refs.json"
+    refs.write_text(json.dumps(rows), encoding="utf-8")
+    return out, refs
+
+
+def _validate(out: Path, refs: Path, url: str, capsys) -> tuple[int, dict]:
+    capsys.readouterr()
+    code = main(["validate", str(out), "--references", str(refs), "--backend", url,
+                 "--report", "json"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, json.loads(captured.out)
+
+
+def test_validate_embeds_chunks_concurrently_with_the_same_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ALTGEN_EPOCH", "0")
+    n_images = 6 * EMBED_CHUNK_PAIRS + 5  # seven chunks
+    out, refs = _repaired_with_references(tmp_path, n_images)
+    with MockBackendServer() as server:
+        server.script.respond = _hashed_embeddings()
+        server.script.delay = 0.02
+        code, report = _validate(out, refs, server.url, capsys)
+        concurrent = (server.script.max_active, len(server.script.requests))
+        server.script.max_active = 0
+        monkeypatch.setattr(
+            "altgen.pipeline.make_backend",
+            lambda config: RemoteBackend(config.backend, inflight_cap=1),
+        )
+        seq_code, seq_report = _validate(out, refs, server.url, capsys)
+        sequential_inflight = server.script.max_active
+    assert code == seq_code == 0
+    assert 1 < concurrent[0] <= 4 and concurrent[1] == 7
+    assert sequential_inflight == 1
+    assert report["n_pairs"] == n_images and report["embed_failures"] == 0
+    assert report == seq_report
+
+
+NOT_HTTP = b"GARBAGE\r\n\r\n"
+
+
+def test_repair_records_a_reply_that_is_not_http(tmp_path, capsys):
+    book = _book(tmp_path / "book.epub")
+    with RawReplyServer(NOT_HTTP) as server:
+        code = main(["repair", str(book), "-o", str(tmp_path / "lenient"), "--backend",
+                     server.url, "--jobs", "1"])
+        strict_code = main(["repair", str(book), "-o", str(tmp_path / "strict"), "--backend",
+                            server.url, "--jobs", "1", "--strict"])
+    assert "Traceback" not in capsys.readouterr().err
+    lenient = json.loads((tmp_path / "lenient" / REPORT_FILENAME).read_text(encoding="utf-8"))
+    row = lenient["files"][0]
+    assert code == 1
+    assert (row["alts_written"], row["caption_failures"]) == (0, N_IMAGES)
+    strict = json.loads((tmp_path / "strict" / REPORT_FILENAME).read_text(encoding="utf-8"))
+    row = strict["files"][0]
+    assert strict_code == 2
+    assert row["status"] == "Failed"
+    assert row["reason"].startswith("backend failure with --strict: reply is not HTTP")
+    assert row["caption_failures"] == 1
+
+
+def test_validate_counts_a_reply_that_is_not_http(tmp_path, capsys):
+    out, refs = _repaired_with_references(tmp_path, 3)
+    with RawReplyServer(NOT_HTTP) as server:
+        code, report = _validate(out, refs, server.url, capsys)
+    assert code == 0
+    assert (report["n_pairs"], report["embed_failures"], report["cosine"]) == (3, 3, None)
