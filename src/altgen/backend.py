@@ -11,14 +11,12 @@ Both backends caption a batch with `generate_alts`, which returns results
 in request order, optionally stopping at the first failure, and run a batch
 of any other calls with `map_requests`. Both go through `fan_out`, the one
 thread fan-out: the stub runs its batches serially in the calling thread,
-the remote client on up to DEFAULT_INFLIGHT_CAP (4) threads. The remote
-client sends each distinct caption request of a batch once: requests with
-equal wire bodies share one answer. The cap is a semaphore: the pipeline
-makes one `multiprocessing` semaphore and hands it to the client in every
-worker process, so the cap holds across the whole run. Callers use the
-results in request order, so output does not depend on which answer
-arrives first. Validation embeds up to 32 texts (16 reference pairs) per
-/v1/embed request, through `map_requests`.
+the remote client on up to DEFAULT_INFLIGHT_CAP (4) threads. The cap is a
+semaphore: the pipeline makes one `multiprocessing` semaphore and hands it
+to the client in every worker process, so the cap holds across the whole
+run. Callers use the results in request order, so output does not depend
+on which answer arrives first. Validation embeds up to 32 texts (16
+reference pairs) per /v1/embed request, through `map_requests`.
 
 A reply that is not HTTP at all (a bad status line, an overlong header
 line, a body cut short) is a MalformedResponse and is not retried; a
@@ -202,7 +200,22 @@ def _svg_title(image_bytes: bytes) -> str | None:
     return None
 
 
-class StubBackend:
+class _Backend:
+    """What both backends share: `generate_alts` over the subclass's
+    `generate_alt` and `map_requests`."""
+
+    def generate_alts(
+        self, requests: list[CaptionRequest], stop_on_error: bool = False
+    ) -> list[AltCandidate | BackendError]:
+        """One result per request, in request order; a failed request yields
+        its BackendError. With stop_on_error the results end at the first
+        failure in request order, and no later request that has not started
+        is made."""
+        attempt = functools.partial(_attempt, self.generate_alt)
+        return self.map_requests(attempt, requests, _failed if stop_on_error else None)
+
+
+class StubBackend(_Backend):
     """Deterministic offline backend for tests and dry runs.
 
     Captions are assembled from the image filename stem and up to eight
@@ -239,15 +252,6 @@ class StubBackend:
             parts.append("Context: " + " ".join(words[:8]) + ".")
         alt = fit_to_length(" ".join(parts), request.max_length)
         return _validate_candidate(alt, 1.0, request.max_length, self.backend_id)
-
-    def generate_alts(
-        self, requests: list[CaptionRequest], stop_on_error: bool = False
-    ) -> list[AltCandidate | BackendError]:
-        """One result per request, in request order; a failed request yields
-        its BackendError. With stop_on_error the results end at the first
-        failure, and no later request is made."""
-        attempt = functools.partial(_attempt, self.generate_alt)
-        return self.map_requests(attempt, requests, _failed if stop_on_error else None)
 
     def map_requests(self, fn, items, stop=None) -> list:
         """`fan_out` in the calling thread: the stub's work is all CPU."""
@@ -297,7 +301,7 @@ class _RejectRedirects(urllib.request.HTTPRedirectHandler):
         return None
 
 
-class RemoteBackend:
+class RemoteBackend(_Backend):
     """HTTP client for the captioning service.
 
     Shareable across worker threads; a semaphore caps in-flight requests.
@@ -393,44 +397,6 @@ class RemoteBackend:
         if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
             raise MalformedResponse("confidence is not a number")
         return _validate_candidate(alt_text, confidence, request.max_length, self.backend_id)
-
-    def generate_alts(
-        self, requests: list[CaptionRequest], stop_on_error: bool = False
-    ) -> list[AltCandidate | BackendError]:
-        """One result per request, in request order; a failed request yields
-        its BackendError. Requests with equal wire bodies (the same image
-        bytes, media type, context, max_length and language) are sent once
-        and share the result. The distinct requests go out through
-        `map_requests`, in the order of their first occurrence.
-
-        With stop_on_error the results end at the first failure in request
-        order, and no distinct request after it that has not started is
-        sent."""
-        slots: dict[tuple, int] = {}
-        distinct: list[CaptionRequest] = []
-        index = []  # each request's place in `distinct`
-        for request in requests:
-            key = (
-                request.image_bytes,
-                request.media_type,
-                request.context,
-                request.max_length,
-                request.language,
-            )
-            if key not in slots:
-                slots[key] = len(distinct)
-                distinct.append(request)
-            index.append(slots[key])
-        attempt = functools.partial(_attempt, self.generate_alt)
-        outcomes = self.map_requests(attempt, distinct, _failed if stop_on_error else None)
-        # `distinct` is in order of first use, so every request up to the
-        # first failure in request order has an outcome
-        results = []
-        for k in index:
-            results.append(outcomes[k])
-            if stop_on_error and _failed(outcomes[k]):
-                break
-        return results
 
     def map_requests(self, fn, items, stop=None) -> list:
         """`fan_out` on up to `inflight_cap` threads; the semaphore still

@@ -527,31 +527,3 @@ class TestGenerateAlts:
         assert sorted(sent) == ["Figure 0", "Figure 1"]
         assert results[0].alt_text == "Figure number 0."
         assert "no caption for figure 1" in str(results[1]) and len(results) == 2
-
-    def test_remote_sends_equal_requests_once(self):
-        # equal bytes, media type, context, length and language; the names
-        # differ, but they are not sent
-        requests = [
-            png_request(context=ContextBundle(figcaption=c), source_name=name)
-            for c, name in [("Figure 0", "a.png"), ("Figure 1", "b.png"), ("Figure 0", "c.png")]
-        ]
-        with MockBackendServer() as server:
-            server.script.respond = figure_captions()
-            results = RemoteBackend(server.url).generate_alts(requests)
-            sent = sorted(json.loads(r.body)["context"]["figcaption"] for r in server.script.requests)
-        assert sent == ["Figure 0", "Figure 1"]
-        assert [r.alt_text for r in results] == [
-            "Figure number 0.", "Figure number 1.", "Figure number 0."
-        ]
-
-    def test_remote_equal_requests_share_a_failure(self):
-        requests = self._requests(["Figure 0", "Figure 1", "Figure 0"])
-        with MockBackendServer() as server:
-            server.script.respond = figure_captions(frozenset({0}))
-            backend = RemoteBackend(server.url)
-            lenient = backend.generate_alts(requests)
-            strict = backend.generate_alts(requests, stop_on_error=True)
-        assert [type(r).__name__ for r in lenient] == [
-            "BackendRejected", "AltCandidate", "BackendRejected"
-        ]
-        assert len(strict) == 1 and isinstance(strict[0], BackendRejected)

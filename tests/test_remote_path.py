@@ -1,7 +1,6 @@
 """The remote path end to end against the mock service: caption fan-out
-across a whole book, book-order results under --strict, one request for
-equal captions, batched embeddings sent concurrently in validate, and
-replies that are not HTTP."""
+across a whole book, book-order results under --strict, batched embeddings
+sent concurrently in validate, and replies that are not HTTP."""
 
 from __future__ import annotations
 
@@ -223,59 +222,6 @@ def test_strict_fails_on_first_failure_in_book_order(tmp_path, capsys):
     assert "no caption for figure 1" in row["reason"]
     assert row["caption_failures"] == 1
     assert not (tmp_path / "strict" / "book.epub").exists()
-
-
-def _twin_chapters(path: Path) -> Path:
-    """Two chapters alike but for their image's name; the images have equal
-    bytes, so both captions have the same request body."""
-    chapter = (
-        "<h1>Harbour</h1><p>The boats came in at dusk.</p>"
-        '<figure><img src="images/{name}"/><figcaption>Figure 0</figcaption></figure>'
-    )
-    manifest = [
-        ("c1", "ch1.xhtml", "application/xhtml+xml"),
-        ("c2", "ch2.xhtml", "application/xhtml+xml"),
-        ("a", "images/a.png", "image/png"),
-        ("b", "images/b.png", "image/png"),
-    ]
-    path.write_bytes(
-        epubgen.build_zip(
-            [
-                ("META-INF/container.xml", epubgen.container_xml()),
-                ("OEBPS/ch1.xhtml", epubgen.page(chapter.format(name="a.png"))),
-                ("OEBPS/ch2.xhtml", epubgen.page(chapter.format(name="b.png"))),
-                ("OEBPS/content.opf", epubgen.opf(manifest=manifest, spine=["c1", "c2"])),
-                ("OEBPS/images/a.png", epubgen.tiny_png()),
-                ("OEBPS/images/b.png", epubgen.tiny_png()),
-            ]
-        )
-    )
-    return path
-
-
-@pytest.mark.parametrize("failing", [frozenset(), frozenset({0})])
-def test_equal_captions_in_a_book_are_requested_once(tmp_path, capsys, failing):
-    book = _twin_chapters(tmp_path / "book.epub")
-    with MockBackendServer() as server:
-        server.script.respond = figure_captions(failing)
-        code, report = _repair(book, tmp_path / "out", server)
-        captions = [r for r in server.script.requests if r.path == "/v1/caption"]
-    capsys.readouterr()
-    row = report["files"][0]
-    assert len(captions) == 1
-    if failing:
-        # a failure still counts once per image
-        assert (row["alts_written"], row["caption_failures"]) == (0, 2)
-        return
-    assert code == 0
-    assert (row["alts_written"], row["caption_failures"]) == (2, 0)
-    repaired = open_epub((tmp_path / "out" / "book.epub").read_bytes())
-    alts = [
-        occ.existing_alt
-        for doc in ("OEBPS/ch1.xhtml", "OEBPS/ch2.xhtml")
-        for occ in find_images(repaired.entry(doc), doc)
-    ]
-    assert alts == ["Figure number 0.", "Figure number 0."]
 
 
 def _repaired_with_references(tmp_path: Path, n_images: int) -> tuple[Path, Path]:
