@@ -357,9 +357,13 @@ class RemoteBackend(_Backend):
                             raise http.client.IncompleteRead(raw, response.length)
                 break
             except urllib.error.HTTPError as exc:
-                if 300 <= exc.code < 400:
-                    raise BackendRejected(f"status {exc.code}: redirects are not followed") from exc
-                excerpt = exc.read(200).decode("utf-8", "replace")
+                # closing the error releases its connection's socket
+                with exc:
+                    if 300 <= exc.code < 400:
+                        raise BackendRejected(
+                            f"status {exc.code}: redirects are not followed"
+                        ) from exc
+                    excerpt = exc.read(200).decode("utf-8", "replace")
                 raise BackendRejected(f"status {exc.code}: {excerpt}") from exc
             except (urllib.error.URLError, TimeoutError, OSError) as exc:
                 # RemoteDisconnected is an OSError as well as an

@@ -219,7 +219,6 @@ class EnsembleConfig:
 
     profiles: list[LanguageProfile] | None = None
     remote: object | None = None
-    remote_min_confidence: float = REMOTE_MIN_CONFIDENCE
 
 
 def detect_language(text: str, config: EnsembleConfig | None = None) -> tuple[str, float]:
@@ -234,7 +233,7 @@ def detect_language(text: str, config: EnsembleConfig | None = None) -> tuple[st
         if config.remote is not None:
             try:
                 lang, confidence = config.remote.detect_language(text)
-                if lang and confidence >= config.remote_min_confidence:
+                if lang and confidence >= REMOTE_MIN_CONFIDENCE:
                     return lang, min(1.0, max(0.0, confidence))
             except (AltgenError, NotImplementedError):
                 pass

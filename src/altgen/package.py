@@ -25,6 +25,7 @@ XML_NS = "http://www.w3.org/XML/1998/namespace"
 XLINK_NS = "http://www.w3.org/1999/xlink"
 
 _PREFIX_BY_URI = {OPF_NS: "opf", DC_NS: "dc", XML_NS: "xml", XLINK_NS: "xlink"}
+_URI_BY_PREFIX = {prefix: uri for uri, prefix in _PREFIX_BY_URI.items()}
 
 ACCESSIBILITY_PROPERTIES = frozenset(
     {
@@ -118,7 +119,6 @@ class PackageDocument:
     manifest: list[ManifestItem] = field(default_factory=list)
     spine: list[str] = field(default_factory=list)
     version: str = "3.0"
-    base_dir: str = ""
     unique_identifier: str | None = None
     package_attrs: dict[str, str] = field(default_factory=dict)
     metadata_attrs: dict[str, str] = field(default_factory=dict)
@@ -296,14 +296,13 @@ def serialize_fragment(elem: ET.Element) -> str:
     return emit(elem, True)
 
 
-def parse_opf(entry: ArchiveEntry, base_dir: str | None = None) -> PackageDocument:
-    """Parse an OPF package document from an archive entry.
+def parse_opf(entry: ArchiveEntry) -> PackageDocument:
+    """Parse an OPF package document from an archive entry; manifest hrefs
+    resolve against the entry's directory.
 
     Raises MalformedXml, DuplicateManifestId, DuplicateManifestHref,
     DanglingSpineRef.
     """
-    if base_dir is None:
-        base_dir = posixpath.dirname(entry.path)
     try:
         root = ET.fromstring(entry.data)
     except ET.ParseError as exc:
@@ -313,7 +312,6 @@ def parse_opf(entry: ArchiveEntry, base_dir: str | None = None) -> PackageDocume
 
     doc = PackageDocument(
         version=root.get("version", ""),
-        base_dir=base_dir,
         unique_identifier=root.get("unique-identifier"),
         package_attrs=_attrs_of(root, skip=("version", "unique-identifier")),
     )
@@ -341,7 +339,7 @@ def parse_opf(entry: ArchiveEntry, base_dir: str | None = None) -> PackageDocume
     doc.metadata_attrs = _attrs_of(metadata_elem)
     _parse_metadata(metadata_elem, doc)
     doc.manifest_attrs = _attrs_of(manifest_elem)
-    _parse_manifest(manifest_elem, doc, base_dir, entry.path)
+    _parse_manifest(manifest_elem, doc, entry.path)
     doc.spine_attrs = _attrs_of(spine_elem)
     _parse_spine(spine_elem, doc, entry.path)
     return doc
@@ -387,9 +385,8 @@ def _parse_metadata(metadata_elem: ET.Element, doc: PackageDocument) -> None:
             )
 
 
-def _parse_manifest(
-    manifest_elem: ET.Element, doc: PackageDocument, base_dir: str, opf_path: str
-) -> None:
+def _parse_manifest(manifest_elem: ET.Element, doc: PackageDocument, opf_path: str) -> None:
+    base_dir = posixpath.dirname(opf_path)
     seen_ids: set[str] = set()
     seen_hrefs: set[str] = set()
     for child in manifest_elem:
@@ -500,7 +497,7 @@ def serialize_opf(doc: PackageDocument) -> bytes:
     _check_serialize_invariants(doc)
     ns_decls = [f'xmlns="{OPF_NS}"', f'xmlns:dc="{DC_NS}"']
     for prefix in sorted(_used_prefixes(doc) - {"dc", "xml"}):
-        uri = {v: k for k, v in _PREFIX_BY_URI.items()}.get(prefix)
+        uri = _URI_BY_PREFIX.get(prefix)
         if uri:
             ns_decls.append(f'xmlns:{prefix}="{uri}"')
     package_attrs = dict(doc.package_attrs)

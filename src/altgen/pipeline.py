@@ -14,8 +14,10 @@ of the re-audit, which audits the repaired model (untouched documents as
 first parsed, the enriched package) rather than the written file.
 Enrichment returns a new package only when it changes one, and only then is
 the OPF serialized and written again. A document no alt can make
-well-formed XML fails its book before any caption request. A document that
-cannot be repaired fails its file, never the batch. Setting ALTGEN_EPOCH
+well-formed XML fails its book before any caption request. Any AltgenError
+or OSError in any stage of a book, from reading its file to writing the
+repaired copy, gives that book one Failed row and never stops the batch; the
+row keeps what the stages before the failure found. Setting ALTGEN_EPOCH
 freezes the timing clock so reports become byte-stable.
 
 Files are independent. Audit and repair run in up to `jobs` worker
@@ -219,28 +221,14 @@ def _open_for_pipeline(data: bytes) -> tuple[EpubArchive, PackageDocument]:
 
 def _audit_one(path: Path) -> FileResult:
     started = _clock()
+    result = FileResult(str(path), FileStatus.FAILED)
     try:
-        archive, pkg = _open_for_pipeline(path.read_bytes())
-        report = audit(archive, pkg)
+        result.pre_report = audit(*_open_for_pipeline(path.read_bytes()))
+        result.status = FileStatus.AUDITED
     except (AltgenError, OSError) as exc:
-        return FileResult(
-            input_path=str(path),
-            status=FileStatus.FAILED,
-            failure_reason=str(exc),
-            elapsed_seconds=max(0.0, _clock() - started),
-        )
-    return FileResult(
-        input_path=str(path),
-        status=FileStatus.AUDITED,
-        pre_report=report,
-        elapsed_seconds=max(0.0, _clock() - started),
-    )
-
-
-class _StrictCaptionFailure(Exception):
-    def __init__(self, cause: BackendError):
-        self.cause = cause
-        super().__init__(str(cause))
+        result.failure_reason = str(exc)
+    result.elapsed_seconds = max(0.0, _clock() - started)
+    return result
 
 
 def _media_types(pkg: PackageDocument) -> dict[str, str]:
@@ -322,43 +310,22 @@ def _read_documents(archive: EpubArchive, pkg: PackageDocument) -> tuple[dict, d
 
 
 def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> FileResult:
+    """Repair one book. Each stage that passes fills its part of the result;
+    status and output path are set only on success, so any failure leaves a
+    Failed row holding what the stages before it found."""
     started = _clock()
-
-    def finish(result: FileResult) -> FileResult:
-        result.elapsed_seconds = max(0.0, _clock() - started)
-        return result
-
+    result = FileResult(str(path), FileStatus.FAILED)
     try:
         data = path.read_bytes()
         archive, pkg = _open_for_pipeline(data)
-    except (AltgenError, OSError) as exc:
-        return finish(
-            FileResult(str(path), FileStatus.FAILED, failure_reason=str(exc))
-        )
-
-    images, texts, chapters = _read_documents(archive, pkg)
-    pre = audit(archive, pkg, images)
-    if pre.error_count == 0:
-        try:
+        images, texts, chapters = _read_documents(archive, pkg)
+        result.pre_report = audit(archive, pkg, images)
+        if result.pre_report.error_count == 0:
             write_file_atomic(out_path, data)
-        except OSError as exc:
-            return finish(
-                FileResult(str(path), FileStatus.FAILED, pre_report=pre, failure_reason=str(exc))
-            )
-        return finish(
-            FileResult(
-                str(path),
-                FileStatus.CLEAN_SKIPPED,
-                pre_report=pre,
-                output_path=str(out_path),
-            )
-        )
+            result.status, result.output_path = FileStatus.CLEAN_SKIPPED, str(out_path)
+            return result
 
-    language = _caption_language(pkg)
-    alts_written = 0
-    caption_failures = 0
-    modified: list[ArchiveEntry] = []
-    try:
+        language = _caption_language(pkg)
         # a chapter no alt can make well-formed would fail the integrity
         # check, so its book fails before any caption request
         for document, targets, _ in chapters:
@@ -382,15 +349,20 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
         # request order, which is book order, and under --strict they stop
         # at the first failure
         outcomes = iter(backend.generate_alts(requests, stop_on_error=config.strict))
+        # kept apart from the result until the book is written: a Failed
+        # row reports no alts
+        alts_written = 0
+        modified: list[ArchiveEntry] = []
         for document, targets, _ in chapters:
             alts: dict[int, str] = {}
             # zip stops at the chapter's last target without taking the
             # next chapter's first outcome
             for (occ, _, _), outcome in zip(targets, outcomes):
                 if isinstance(outcome, BackendError):
+                    result.caption_failures += 1
                     if config.strict:
-                        raise _StrictCaptionFailure(outcome)
-                    caption_failures += 1
+                        result.failure_reason = f"backend failure with --strict: {outcome}"
+                        return result
                     continue
                 alts[occ.element_index] = outcome.alt_text
             if alts:
@@ -399,69 +371,29 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
                 entry, images[document.doc_path] = document.splice(alts)
                 modified.append(entry)
                 alts_written += len(alts)
-    except _StrictCaptionFailure as exc:
-        return finish(
-            FileResult(
-                str(path),
-                FileStatus.FAILED,
-                pre_report=pre,
-                caption_failures=caption_failures + 1,
-                failure_reason=f"backend failure with --strict: {exc.cause}",
-            )
-        )
-    except AltgenError as exc:
-        # one document that cannot be repaired fails its book, not the batch
-        return finish(
-            FileResult(
-                str(path),
-                FileStatus.FAILED,
-                pre_report=pre,
-                caption_failures=caption_failures,
-                failure_reason=str(exc),
-            )
-        )
 
-    ensemble = EnsembleConfig(remote=backend if backend.supports_language_detection else None)
-    pkg_enriched, fixes = enrich_metadata(
-        pkg,
-        archive,
-        lambda text: detect_language(text, ensemble),
-        fallback_title=path.stem,
-        texts=texts,
-    )
-
-    try:
+        ensemble = EnsembleConfig(remote=backend if backend.supports_language_detection else None)
+        pkg_enriched, result.fixes = enrich_metadata(
+            pkg,
+            archive,
+            lambda text: detect_language(text, ensemble),
+            fallback_title=path.stem,
+            texts=texts,
+        )
         if pkg_enriched is not pkg:  # enrichment changed the package
             opf_entry = archive.entry(archive.rootfile_path)
             modified.append(opf_entry.with_data(serialize_opf(pkg_enriched)))
-        out_bytes = rebuild(archive, pkg_enriched, modified)
-        write_file_atomic(out_path, out_bytes)
+        write_file_atomic(out_path, rebuild(archive, pkg_enriched, modified))
+        # the audit of the repaired model: untouched documents as parsed,
+        # modified ones as their splice re-parsed them, the enriched package
+        result.post_report = audit(archive, pkg_enriched, images)
+        result.alts_written = alts_written
+        result.status, result.output_path = FileStatus.REPAIRED, str(out_path)
     except (AltgenError, OSError) as exc:
-        return finish(
-            FileResult(
-                str(path),
-                FileStatus.FAILED,
-                pre_report=pre,
-                fixes=fixes,
-                caption_failures=caption_failures,
-                failure_reason=str(exc),
-            )
-        )
-    # the audit of the repaired model: untouched documents as parsed,
-    # modified ones as their splice re-parsed them, the enriched package
-    post = audit(archive, pkg_enriched, images)
-    return finish(
-        FileResult(
-            str(path),
-            FileStatus.REPAIRED,
-            pre_report=pre,
-            post_report=post,
-            fixes=fixes,
-            alts_written=alts_written,
-            caption_failures=caption_failures,
-            output_path=str(out_path),
-        )
-    )
+        result.failure_reason = str(exc)
+    finally:
+        result.elapsed_seconds = max(0.0, _clock() - started)
+    return result
 
 
 # A pool worker's config and backend, set once per process by _init_worker.
@@ -553,6 +485,14 @@ def aggregate_results(results: list[FileResult]) -> dict:
     }
 
 
+def _exit_code(results: list[FileResult], errors_key: str) -> int:
+    """2 if a file failed; else 1 if the aggregate's `errors_key` counts
+    errors; else 0."""
+    if any(r.status is FileStatus.FAILED for r in results):
+        return 2
+    return 1 if aggregate_results(results)[errors_key] > 0 else 0
+
+
 def report_dict(results: list[FileResult]) -> dict:
     return {
         "files": [r.to_dict() for r in results],
@@ -568,13 +508,7 @@ def run_audit(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fil
     else:
         results = _run_pool(_audit_one, _largest_first(files), config, workers)
     results.sort(key=lambda r: r.input_path)
-    if any(r.status is FileStatus.FAILED for r in results):
-        exit_code = 2
-    elif aggregate_results(results)["pre_errors"] > 0:
-        exit_code = 1
-    else:
-        exit_code = 0
-    return results, exit_code
+    return results, _exit_code(results, "pre_errors")
 
 
 def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[FileResult], int]:
@@ -602,13 +536,7 @@ def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fi
         write_file_atomic(config.output_dir / REPORT_FILENAME, payload)
     except OSError as exc:
         raise PipelineError(f"cannot write {REPORT_FILENAME}: {exc}") from exc
-    if any(r.status is FileStatus.FAILED for r in results):
-        exit_code = 2
-    elif aggregate_results(results)["post_errors"] > 0:
-        exit_code = 1
-    else:
-        exit_code = 0
-    return results, exit_code
+    return results, _exit_code(results, "post_errors")
 
 
 def _load_stored_report(repaired_dir: Path) -> dict | None:

@@ -34,7 +34,6 @@ def test_parse_basic_fields():
     pkg = parse_opf(entry(BASIC))
     assert pkg.version == "3.0"
     assert pkg.unique_identifier == "uid"
-    assert pkg.base_dir == "OEBPS"
     assert pkg.first_value(MetaKind.DC_TITLE) == "The Lighthouse Keeper"
     assert pkg.values(MetaKind.DC_LANGUAGE) == ["en"]
     assert pkg.accessibility_values("accessMode") == ["textual", "visual"]
@@ -52,7 +51,6 @@ def test_hrefs_resolved_against_opf_directory():
 
 def test_opf_at_archive_root_resolves_without_prefix():
     pkg = parse_opf(entry(BASIC, path="content.opf"))
-    assert pkg.base_dir == ""
     assert pkg.item_by_id("c1").href == "ch1.xhtml"
 
 

@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import codecs
+import errno
 import json
 from pathlib import Path
 
 import pytest
 
+from altgen import pipeline
 from altgen.backend import BackendUnavailable, StubBackend
 from altgen.container import open_epub
-from altgen.content import find_images
+from altgen.content import DocumentError, find_images
+from altgen.package import MetaKind
 from altgen.pipeline import (
     REPORT_FILENAME,
     FileStatus,
     PipelineConfig,
     PipelineError,
+    _repair_one,
     aggregate_results,
     assign_output_names,
     collect_epub_paths,
@@ -44,11 +48,53 @@ def defective_kwargs() -> dict:
 
 
 class _FailingBackend(StubBackend):
+    """Fails every caption, or with `names` those of the images named."""
+
+    def __init__(self, *names: str):
+        self.names = names
+
     def generate_alt(self, request):
-        raise BackendUnavailable("backend down")
+        if not self.names or request.source_name in self.names:
+            raise BackendUnavailable("backend down")
+        return super().generate_alt(request)
 
     def embed_texts(self, texts):
         raise BackendUnavailable("backend down")
+
+
+# Each sets up one exit of _repair_one: (book, backend, strict).
+def _unreadable(tmp_path, monkeypatch):
+    book = tmp_path / "bad.epub"
+    book.write_bytes(b"garbage")
+    return book, StubBackend(), False
+
+
+def _clean_copy_unwritable(tmp_path, monkeypatch):
+    def disk_full(path, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("altgen.pipeline.write_file_atomic", disk_full)
+    return write_book(tmp_path / "clean.epub"), StubBackend(), False
+
+
+def _chapter_no_alt_mends(tmp_path, monkeypatch):
+    book = tmp_path / "soup.epub"
+    chapter = b'<html><body><p>soup<br><img src="images/a.png"></body></html>'
+    book.write_bytes(book_with_chapter(chapter, ["a.png"]))
+    return book, StubBackend(), False
+
+
+def _strict_after_a_captioned_chapter(tmp_path, monkeypatch):
+    # chapter 1's fox is captioned and spliced before chapter 2's map fails
+    book = write_book(tmp_path / "defective.epub", **defective_kwargs())
+    return book, _FailingBackend("map.svg"), True
+
+
+def _rebuild_fails(tmp_path, monkeypatch):
+    # the fox's alt is spliced, the map's caption fails, and the file name,
+    # the missing dc:title, cannot go into the OPF
+    book = write_book(tmp_path / "title\x01less.epub", title=None, **defective_kwargs())
+    return book, _FailingBackend("map.svg"), False
 
 
 class TestCollect:
@@ -244,6 +290,84 @@ class TestRunRepair:
         assert not (out / "bad.epub").exists()
         assert good.status is FileStatus.REPAIRED
         assert (out / "good.epub").exists()
+        stored = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
+        assert [row["status"] for row in stored["files"]] == ["Failed", "Repaired"]
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "setup,reason,fixes,caption_failures",
+        [
+            (_unreadable, "no ZIP signature at offset 0", [], 0),
+            (_clean_copy_unwritable, "[Errno 28] No space left on device", [], 0),
+            (_chapter_no_alt_mends, "MalformedModifiedDoc: OEBPS/ch1.xhtml", [], 0),
+            (
+                _strict_after_a_captioned_chapter,
+                "backend failure with --strict: backend down",
+                [],
+                1,
+            ),
+            (
+                _rebuild_fails,
+                "character U+0001 cannot be written in XML",
+                [
+                    {"field": "dc:language", "new": "en", "old": None, "reason": "Detected"},
+                    {"field": "dc:title", "new": "title\x01less", "old": None, "reason": "Default"},
+                ],
+                1,
+            ),
+        ],
+        ids=["unreadable", "clean_copy_unwritable", "chapter_no_alt_mends", "strict", "rebuild"],
+    )
+    def test_failed_row_at_each_exit(
+        self, tmp_path, monkeypatch, setup, reason, fixes, caption_failures
+    ):
+        # a Failed row holds what the stages before the failure found, and
+        # never an alt count, an output path or a post-report
+        book, backend, strict = setup(tmp_path, monkeypatch)
+        (audited,), _ = run_audit([book], PipelineConfig(jobs=1))
+        out = tmp_path / "out" / book.name
+        row = _repair_one(book, out, PipelineConfig(jobs=1, strict=strict), backend).to_dict()
+        del row["elapsed_seconds"]
+        assert row == {
+            "input_path": str(book),
+            "status": "Failed",
+            "reason": reason,
+            "pre_report": audited.pre_report.to_dict() if audited.pre_report else None,
+            "post_report": None,
+            "fixes": fixes,
+            "alts_written": 0,
+            "caption_failures": caption_failures,
+            "output_path": None,
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage,error",
+        [
+            ("_read_documents", DocumentError("OEBPS/ch1.xhtml: cannot be read")),
+            ("audit", OSError(errno.EIO, "Input/output error")),
+        ],
+    )
+    def test_read_stage_raise_fails_only_its_book(self, tmp_path, monkeypatch, stage, error):
+        real = getattr(pipeline, stage)
+
+        def doomed(archive, pkg, *args):
+            if pkg.first_value(MetaKind.DC_TITLE) == "Doomed":
+                raise error
+            return real(archive, pkg, *args)
+
+        monkeypatch.setattr(pipeline, stage, doomed)
+        (tmp_path / "in").mkdir()
+        write_book(tmp_path / "in" / "bad.epub", title="Doomed", **defective_kwargs())
+        write_book(tmp_path / "in" / "good.epub", **defective_kwargs())
+        out = tmp_path / "out"
+        results, code = run_repair([tmp_path / "in"], PipelineConfig(jobs=1, output_dir=out))
+        bad, good = results
+        assert bad.status is FileStatus.FAILED
+        assert bad.failure_reason == str(error)
+        assert bad.pre_report is None
+        assert not (out / "bad.epub").exists()
+        assert good.status is FileStatus.REPAIRED
         stored = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
         assert [row["status"] for row in stored["files"]] == ["Failed", "Repaired"]
         assert code == 2
