@@ -21,22 +21,22 @@ reference pairs) per /v1/embed request, through `map_requests`.
 A reply that is not HTTP at all (a bad status line, an overlong header
 line, a body cut short) is a MalformedResponse and is not retried; a
 connection closed before any reply is a BackendUnavailable.
+
+The HTTP modules load only when a RemoteBackend is built, and
+concurrent.futures only when a fan-out uses threads, so stub runs load
+neither.
 """
 
 from __future__ import annotations
 
 import base64
 import functools
-import http.client
 import json
 import math
 import posixpath
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
@@ -58,7 +58,6 @@ DEFAULT_INFLIGHT_CAP = 4
 MAX_RESPONSE_BYTES = 8 * 1024 * 1024
 MAX_EMBED_TEXT = 2000
 
-ENV_BACKEND_URL = "ALTGEN_BACKEND_URL"
 ENV_BACKEND_TOKEN = "ALTGEN_BACKEND_TOKEN"
 
 
@@ -155,6 +154,9 @@ def fan_out(fn, items, workers: int, stop=None) -> list:
             if stop is not None and stop(results[-1]):
                 break
         return results
+    # imported here, so that serial callers do not load concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     first_stop = len(items)  # lowest stopped index seen so far
     lock = threading.Lock()
 
@@ -294,11 +296,16 @@ def context_to_wire(ctx: ContextBundle) -> dict:
     }
 
 
-class _RejectRedirects(urllib.request.HTTPRedirectHandler):
-    """Turns every 3xx into an HTTPError instead of following it."""
+def _opener_rejecting_redirects():
+    """A urllib opener that turns every 3xx into an HTTPError instead of
+    following it."""
+    import urllib.request
 
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
+    class RejectRedirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
+
+    return urllib.request.build_opener(RejectRedirects)
 
 
 class RemoteBackend(_Backend):
@@ -331,9 +338,15 @@ class RemoteBackend(_Backend):
         self.inflight_cap = inflight_cap
         self._gate = gate if gate is not None else threading.Semaphore(inflight_cap)
         self._sleep = sleep if sleep is not None else time.sleep
-        self._opener = urllib.request.build_opener(_RejectRedirects)
+        self._opener = _opener_rejecting_redirects()
 
     def _post(self, path: str, payload: dict) -> dict:
+        # loaded by __init__; imported here only to bind the names, so that
+        # a stub run never loads the HTTP stack
+        import http.client
+        import urllib.error
+        import urllib.request
+
         body = canonical_json(payload)
         headers = {
             "Content-Type": "application/json; charset=utf-8",

@@ -141,8 +141,8 @@ def _print_file_lines(results: list[FileResult], out) -> None:
 def _emit_batch_report(results: list[FileResult], config: PipelineConfig, out) -> None:
     payload = report_dict(results)
     if config.report_format == "json":
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
+        # one write: json.dump would make one per token
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
     _print_file_lines(results, out)
     agg = payload["aggregate"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import struct
 import zipfile
+import zlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from xml.etree import ElementTree as ET
@@ -25,6 +26,11 @@ CONTAINER_XML_PATH = "META-INF/container.xml"
 # archives silently, and we refuse them instead.
 _EOCD_SIG = b"PK\x05\x06"
 _ZIP64_LOCATOR_SIG = b"PK\x06\x07"
+
+# What zipfile raises, besides BadZipFile, on a corrupt archive: a negative
+# seek, a deflate stream or an entry cut short, a name that is not the UTF-8
+# its flag claims (UnicodeDecodeError is a ValueError).
+_CORRUPT = (zipfile.BadZipFile, ValueError, EOFError, zlib.error)
 
 
 class ContainerError(AltgenError):
@@ -151,11 +157,18 @@ def _looks_zip64(data: bytes) -> bool:
     return False
 
 
+def _not_zip(exc: Exception, where: str = "") -> NotZip:
+    """BadZipFile's message says what is wrong; the other errors zipfile
+    lets through need their type to make sense."""
+    return NotZip(where + (str(exc) if isinstance(exc, zipfile.BadZipFile) else repr(exc)))
+
+
 def open_epub(data: bytes) -> EpubArchive:
     """Parse container bytes into an EpubArchive.
 
-    Raises NotZip, NotSupported (ZIP64 or unknown compression),
-    MissingMimetype, WrongMimetype, MissingContainerXml, MalformedContainerXml.
+    Raises NotZip (a corrupt archive), NotSupported (ZIP64, encryption, or
+    an unknown compression method or ZIP version), MissingMimetype,
+    WrongMimetype, MissingContainerXml, MalformedContainerXml.
     """
     if len(data) < 4 or data[:2] != b"PK" or data[2:4] not in (b"\x03\x04", b"\x05\x06"):
         raise NotZip("no ZIP signature at offset 0")
@@ -163,8 +176,10 @@ def open_epub(data: bytes) -> EpubArchive:
         raise NotSupported("ZIP64 archives are not supported")
     try:
         zf = zipfile.ZipFile(io.BytesIO(data))
-    except zipfile.BadZipFile as exc:
-        raise NotZip(str(exc)) from exc
+    except _CORRUPT as exc:
+        raise _not_zip(exc) from exc
+    except NotImplementedError as exc:
+        raise NotSupported(str(exc)) from exc
 
     entries: list[ArchiveEntry] = []
     seen: set[str] = set()
@@ -184,9 +199,9 @@ def open_epub(data: bytes) -> EpubArchive:
                 raise NotSupported(f"compression method {info.compress_type} in {info.filename!r}")
             try:
                 content = zf.read(info)
-            except zipfile.BadZipFile as exc:
-                raise NotZip(f"{info.filename!r}: {exc}") from exc
-            except RuntimeError as exc:
+            except _CORRUPT as exc:
+                raise _not_zip(exc, f"{info.filename!r}: ") from exc
+            except RuntimeError as exc:  # encrypted, or NotImplementedError
                 raise NotSupported(f"{info.filename!r}: {exc}") from exc
             entries.append(
                 ArchiveEntry(info.filename, content, comp, False, tuple(info.date_time))

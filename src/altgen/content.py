@@ -30,11 +30,10 @@ from dataclasses import dataclass
 from html.parser import HTMLParser
 from xml.etree import ElementTree as ET
 from xml.parsers import expat
-from xml.sax.saxutils import escape
 
 from altgen.container import ArchiveEntry
 from altgen.errors import AltgenError
-from altgen.package import MetaKind, PackageDocument, _localname, resolve_href
+from altgen.package import MetaKind, PackageDocument, _localname, escape, resolve_href
 
 BLOCK_TAGS = frozenset({"p", "div", "li", "td", "blockquote", "figcaption"})
 HEADING_TAGS = frozenset({"h1", "h2", "h3", "h4", "h5", "h6"})
@@ -568,7 +567,7 @@ def _alt_tag_body(text: str, tag_start: int, tag_end: int, alt: str) -> tuple[in
     body_start = _TAG_NAME_RE.match(text, tag_start).end()
     body_end = tag_end - 1 if text[tag_end - 1] == "/" else tag_end
     body = text[body_start:body_end]
-    replacement = 'alt="%s"' % escape(alt, {'"': "&quot;"})
+    replacement = 'alt="%s"' % escape(alt, quote=True)
     for match in _ATTR_RE.finditer(body):
         if match.group(1).lower() == "alt":
             return body_start, body_end, body[: match.start()] + replacement + body[match.end() :]

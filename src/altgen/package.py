@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from urllib.parse import unquote, urlsplit
 from xml.etree import ElementTree as ET
-from xml.sax.saxutils import escape
 
 from altgen.container import ArchiveEntry, InvariantViolation
 from altgen.errors import AltgenError
@@ -222,8 +221,15 @@ def _attrs_of(elem: ET.Element, skip: tuple[str, ...] = ()) -> dict[str, str]:
     return out
 
 
+def escape(text: str, quote: bool = False) -> str:
+    """`&`, `<` and `>` as entities, and `"` too with `quote`: the output of
+    xml.sax.saxutils.escape, whose module would load the HTTP stack."""
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return text.replace('"', "&quot;") if quote else text
+
+
 def _esc_attr(value: str) -> str:
-    return escape(value, {'"': "&quot;"})
+    return escape(value, quote=True)
 
 
 def serialize_fragment(elem: ET.Element) -> str:

@@ -20,6 +20,13 @@ repaired copy, gives that book one Failed row and never stops the batch; the
 row keeps what the stages before the failure found. Setting ALTGEN_EPOCH
 freezes the timing clock so reports become byte-stable.
 
+Each command loads only the modules it runs. The modules only repair and
+validate use (backend, enrich, langdetect, reconstruct) are bound lazily:
+registered at import, their bodies run on first use, so audit never loads
+them. Repair loads them, and builds its backend, on the main thread before
+any worker pool or fan-out thread starts (_load), so forked workers inherit
+them loaded, with the HTTP client's modules for a remote backend.
+
 Files are independent. Audit and repair run in up to `jobs` worker
 processes from the default multiprocessing context, largest file first, in
 chunks of about files / (8 * workers). CPU-bound work (audit, and repair
@@ -37,25 +44,18 @@ stub.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import posixpath
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import ModuleType
 
-from altgen.audit import AuditReport, audit, content_documents
-from altgen.backend import (
-    BackendError,
-    CaptionRequest,
-    DEFAULT_INFLIGHT_CAP,
-    ENV_BACKEND_TOKEN,
-    ENV_BACKEND_URL,
-    RemoteBackend,
-    StubBackend,
-    SUPPORTED_MEDIA_TYPES,
-)
+from altgen.audit import AuditReport, audit, content_documents, is_well_formed_language_tag
 from altgen.container import ArchiveEntry, EpubArchive, open_epub
 from altgen.content import (
     ContentDocument,
@@ -64,21 +64,45 @@ from altgen.content import (
     VisibleText,
     find_images,
 )
-from altgen.enrich import SAMPLE_CHARS, AppliedFix, enrich_metadata, sampled_documents
 from altgen.errors import AltgenError
-from altgen.langdetect import EnsembleConfig, detect_language
 from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate
 from altgen.package import MetaKind, PackageDocument, parse_opf, serialize_opf
-from altgen.reconstruct import (
-    FindingCode,
-    IntegrityErrors,
-    finding,
-    rebuild,
-    write_file_atomic,
-)
-from altgen.audit import is_well_formed_language_tag
+
+
+def _lazy(name: str) -> ModuleType:
+    """altgen.<name>, put in sys.modules and on the package now, but with
+    its body run only on its first attribute access (importlib's
+    LazyLoader); a module already imported is returned as it is."""
+    fullname = f"altgen.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules["altgen"], name, module)
+    return module
+
+
+# Only repair and validate run these.
+backend = _lazy("backend")
+enrich = _lazy("enrich")
+langdetect = _lazy("langdetect")
+reconstruct = _lazy("reconstruct")
+
+
+def _load(*modules: ModuleType) -> None:
+    """Run the bodies of lazily bound modules now, on the calling thread.
+    A lazy module's first touch is not thread-safe before Python 3.12.3, so
+    each is touched here before any fan-out thread or worker pool starts;
+    a pool forked afterwards inherits them loaded."""
+    for module in modules:
+        vars(module)  # any attribute access runs the body
+
 
 ENV_EPOCH = "ALTGEN_EPOCH"
+ENV_BACKEND_URL = "ALTGEN_BACKEND_URL"
 REPORT_FILENAME = "altgen-report.json"
 
 MIN_ADEQUATE_ALT = 5
@@ -134,7 +158,7 @@ class FileResult:
     status: FileStatus
     pre_report: AuditReport | None = None
     post_report: AuditReport | None = None
-    fixes: list[AppliedFix] = field(default_factory=list)
+    fixes: list[enrich.AppliedFix] = field(default_factory=list)
     alts_written: int = 0
     caption_failures: int = 0
     elapsed_seconds: float = 0.0
@@ -170,8 +194,9 @@ def make_backend(config: PipelineConfig, gate=None):
     """`gate` is the in-flight semaphore a remote backend shares with other
     worker processes; None gives it one of its own."""
     if config.backend == "stub":
-        return StubBackend()
-    return RemoteBackend(config.backend, token=os.environ.get(ENV_BACKEND_TOKEN), gate=gate)
+        return backend.StubBackend()
+    token = os.environ.get(backend.ENV_BACKEND_TOKEN)
+    return backend.RemoteBackend(config.backend, token=token, gate=gate)
 
 
 def default_backend_name() -> str:
@@ -274,7 +299,7 @@ def _targets(
         if image_entry is None:
             continue  # dangling; nothing to caption
         media_type = _media_type_for(media_types, occ.src)
-        if media_type not in SUPPORTED_MEDIA_TYPES:
+        if media_type not in backend.SUPPORTED_MEDIA_TYPES:
             continue
         targets.append((occ, image_entry, media_type))
     return targets
@@ -289,7 +314,7 @@ def _read_documents(archive: EpubArchive, pkg: PackageDocument) -> tuple[dict, d
     document with caption targets, with its targets and their contexts.
     """
     media_types = _media_types(pkg)
-    sampled = sampled_documents(pkg, archive)
+    sampled = enrich.sampled_documents(pkg, archive)
     images: dict[str, list[ImageOccurrence] | None] = {}
     texts: dict[str, VisibleText | None] = {}
     chapters = []
@@ -301,7 +326,7 @@ def _read_documents(archive: EpubArchive, pkg: PackageDocument) -> tuple[dict, d
             continue
         images[href] = document.images
         if href in sampled:
-            texts[href] = document.visible_text(SAMPLE_CHARS)
+            texts[href] = document.visible_text(enrich.SAMPLE_CHARS)
         targets = _targets(document, archive, media_types)
         contexts = document.contexts([occ.element_index for occ, _, _ in targets], pkg)
         if targets:
@@ -309,7 +334,7 @@ def _read_documents(archive: EpubArchive, pkg: PackageDocument) -> tuple[dict, d
     return images, texts, chapters
 
 
-def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> FileResult:
+def _repair_one(path: Path, out_path: Path, config: PipelineConfig, client) -> FileResult:
     """Repair one book. Each stage that passes fills its part of the result;
     status and output path are set only on success, so any failure leaves a
     Failed row holding what the stages before it found."""
@@ -321,7 +346,7 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
         images, texts, chapters = _read_documents(archive, pkg)
         result.pre_report = audit(archive, pkg, images)
         if result.pre_report.error_count == 0:
-            write_file_atomic(out_path, data)
+            reconstruct.write_file_atomic(out_path, data)
             result.status, result.output_path = FileStatus.CLEAN_SKIPPED, str(out_path)
             return result
 
@@ -330,11 +355,10 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
         # check, so its book fails before any caption request
         for document, targets, _ in chapters:
             if not document.can_be_well_formed([occ.element_index for occ, _, _ in targets]):
-                raise IntegrityErrors(
-                    [finding(FindingCode.MALFORMED_MODIFIED_DOC, document.doc_path)]
-                )
+                code = reconstruct.FindingCode.MALFORMED_MODIFIED_DOC
+                raise reconstruct.IntegrityErrors([reconstruct.finding(code, document.doc_path)])
         requests = [
-            CaptionRequest(
+            backend.CaptionRequest(
                 image_bytes=image_entry.data,
                 media_type=media_type,
                 context=contexts[occ.element_index],
@@ -348,7 +372,7 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
         # the whole book's requests go out together; results come back in
         # request order, which is book order, and under --strict they stop
         # at the first failure
-        outcomes = iter(backend.generate_alts(requests, stop_on_error=config.strict))
+        outcomes = iter(client.generate_alts(requests, stop_on_error=config.strict))
         # kept apart from the result until the book is written: a Failed
         # row reports no alts
         alts_written = 0
@@ -358,7 +382,7 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
             # zip stops at the chapter's last target without taking the
             # next chapter's first outcome
             for (occ, _, _), outcome in zip(targets, outcomes):
-                if isinstance(outcome, BackendError):
+                if isinstance(outcome, backend.BackendError):
                     result.caption_failures += 1
                     if config.strict:
                         result.failure_reason = f"backend failure with --strict: {outcome}"
@@ -372,18 +396,21 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, backend) -> 
                 modified.append(entry)
                 alts_written += len(alts)
 
-        ensemble = EnsembleConfig(remote=backend if backend.supports_language_detection else None)
-        pkg_enriched, result.fixes = enrich_metadata(
+        ensemble = langdetect.EnsembleConfig(
+            remote=client if client.supports_language_detection else None
+        )
+        pkg_enriched, result.fixes = enrich.enrich_metadata(
             pkg,
             archive,
-            lambda text: detect_language(text, ensemble),
+            lambda text: langdetect.detect_language(text, ensemble),
             fallback_title=path.stem,
             texts=texts,
         )
         if pkg_enriched is not pkg:  # enrichment changed the package
             opf_entry = archive.entry(archive.rootfile_path)
             modified.append(opf_entry.with_data(serialize_opf(pkg_enriched)))
-        write_file_atomic(out_path, rebuild(archive, pkg_enriched, modified))
+        written = reconstruct.rebuild(archive, pkg_enriched, modified)
+        reconstruct.write_file_atomic(out_path, written)
         # the audit of the repaired model: untouched documents as parsed,
         # modified ones as their splice re-parsed them, the enriched package
         result.post_report = audit(archive, pkg_enriched, images)
@@ -402,13 +429,14 @@ _worker: tuple[PipelineConfig, object] | None = None
 
 def _init_worker(config: PipelineConfig, gate) -> None:
     global _worker
+    _load(backend, enrich, langdetect, reconstruct)
     _worker = (config, make_backend(config, gate))
 
 
 def _repair_task(item: tuple[Path, str]) -> FileResult:
     path, name = item
-    config, backend = _worker
-    return _repair_one(path, config.output_dir / name, config, backend)
+    config, client = _worker
+    return _repair_one(path, config.output_dir / name, config, client)
 
 
 # A worker process costs about 30 ms: its fork, its own first calls and the
@@ -442,23 +470,31 @@ def _largest_first(files: list[Path]) -> list[Path]:
     return sorted(files, key=size, reverse=True)
 
 
-def _run_pool(task, items: list, config: PipelineConfig, workers: int) -> list[FileResult]:
+def _run_pool(
+    task, items: list, workers: int, config: PipelineConfig | None = None
+) -> list[FileResult]:
     """task(item) for every item on `workers` processes, in the order given,
-    a chunk of items at a time."""
+    a chunk of items at a time. With a repair `config`, each worker first
+    builds its backend (_init_worker)."""
     # imported here, so that runs in one process do not load multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     context = multiprocessing.get_context()
-    gate = None if config.backend == "stub" else context.Semaphore(DEFAULT_INFLIGHT_CAP)
+    initializer, initargs = None, ()
+    if config is not None:
+        gate = None
+        if config.backend != "stub":
+            gate = context.Semaphore(backend.DEFAULT_INFLIGHT_CAP)
+        initializer, initargs = _init_worker, (config, gate)
     chunksize = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
     try:
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,
-            initializer=_init_worker,
-            initargs=(config, gate),
+            initializer=initializer,
+            initargs=initargs,
         ) as pool:
             return list(pool.map(task, items, chunksize=chunksize))
     except BrokenProcessPool as exc:
@@ -506,7 +542,7 @@ def run_audit(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fil
     if workers == 1:
         results = [_audit_one(path) for path in files]
     else:
-        results = _run_pool(_audit_one, _largest_first(files), config, workers)
+        results = _run_pool(_audit_one, _largest_first(files), workers)
     results.sort(key=lambda r: r.input_path)
     return results, _exit_code(results, "pre_errors")
 
@@ -521,19 +557,22 @@ def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fi
         raise PipelineError(f"cannot create output directory: {exc}") from exc
     names = assign_output_names(files)
     workers = _workers(config, files, cpu_bound=config.backend == "stub")
+    _load(backend, enrich, langdetect, reconstruct)
+    # made before any pool forks, so that workers inherit what it loads: the
+    # HTTP client's modules, for a remote backend
+    client = make_backend(config)
     if workers == 1:
-        backend = make_backend(config)
         results = [
-            _repair_one(path, config.output_dir / names[path], config, backend)
+            _repair_one(path, config.output_dir / names[path], config, client)
             for path in files
         ]
     else:
         items = [(path, names[path]) for path in _largest_first(files)]
-        results = _run_pool(_repair_task, items, config, workers)
+        results = _run_pool(_repair_task, items, workers, config)
     results.sort(key=lambda r: r.input_path)
     payload = json.dumps(report_dict(results), indent=2, sort_keys=True).encode("utf-8")
     try:
-        write_file_atomic(config.output_dir / REPORT_FILENAME, payload)
+        reconstruct.write_file_atomic(config.output_dir / REPORT_FILENAME, payload)
     except OSError as exc:
         raise PipelineError(f"cannot write {REPORT_FILENAME}: {exc}") from exc
     return results, _exit_code(results, "post_errors")
@@ -571,7 +610,7 @@ def run_validate(
     if not repaired_dir.is_dir():
         raise PipelineError(f"not a directory: {repaired_dir}")
     refs = load_references(Path(references))
-    backend = make_backend(config)
+    client = make_backend(config)
 
     archives: dict[str, EpubArchive | None] = {}
     occurrences_cache: dict[tuple[str, str], list] = {}
@@ -621,11 +660,11 @@ def run_validate(
     if pairs:
         report = corpus_metrics(
             pairs,
-            backend.embed_texts,
+            client.embed_texts,
             timings,
             bleu_max_n=config.bleu_max_n,
             smoothing=config.smoothing,
-            mapper=backend.map_requests,
+            mapper=client.map_requests,
         )
     else:
         report = MetricReport(n_files=len(timings))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import struct
 import warnings
 import zipfile
 
@@ -166,6 +167,84 @@ def test_zip64_rejected():
     data = data[:eocd] + locator + data[eocd:]
     with pytest.raises(NotSupported):
         open_epub(data)
+
+
+def _edit(data: bytes, at: int, new: bytes) -> bytes:
+    return data[:at] + new + data[at + len(new) :]
+
+
+def _central_record(data: bytes, name: str) -> int:
+    """Offset of `name`'s central directory record."""
+    at = struct.unpack_from("<I", data, data.rfind(b"PK\x05\x06") + 16)[0]
+    while True:
+        name_len, extra_len, comment_len = struct.unpack_from("<HHH", data, at + 28)
+        if data[at + 46 : at + 46 + name_len] == name.encode():
+            return at
+        at += 46 + name_len + extra_len + comment_len
+
+
+def _local_record(data: bytes, name: str) -> int:
+    """Offset of `name`'s local header."""
+    return struct.unpack_from("<I", data, _central_record(data, name) + 42)[0]
+
+
+def _newer_zip_version(data: bytes) -> bytes:
+    # "version needed to extract" 9.9 in container.xml's central record
+    return _edit(data, _central_record(data, CONTAINER_XML_PATH) + 6, struct.pack("<H", 99))
+
+
+def _central_directory_moved(data: bytes) -> bytes:
+    # a central directory offset one past where it is: zipfile takes the
+    # difference for bytes prepended to the archive, and the first local
+    # header lands at offset -1
+    eocd = data.rfind(b"PK\x05\x06")
+    cd_offset = struct.unpack_from("<I", data, eocd + 16)[0]
+    return _edit(data, eocd + 16, struct.pack("<I", cd_offset + 1))
+
+
+def _bad_deflate_block(data: bytes) -> bytes:
+    # container.xml's deflate stream opens with a final block of the
+    # reserved type 3
+    local = _local_record(data, CONTAINER_XML_PATH)
+    name_len, extra_len = struct.unpack_from("<HH", data, local + 26)
+    return _edit(data, local + 30 + name_len + extra_len, b"\x07")
+
+
+def _stored_entry_runs_past_end(data: bytes) -> bytes:
+    # the stored mimetype claims more bytes than the whole archive holds
+    sizes = struct.pack("<II", 0xFFFFFF, 0xFFFFFF)
+    return _edit(data, _central_record(data, MIMETYPE_PATH) + 20, sizes)
+
+
+def _name_not_utf8(data: bytes) -> bytes:
+    # container.xml flags its name as UTF-8 in both headers, and the local
+    # header's copy of the name starts with a byte UTF-8 cannot start with
+    central = _central_record(data, CONTAINER_XML_PATH)
+    local = _local_record(data, CONTAINER_XML_PATH)
+    utf8_flag = struct.pack("<H", 0x800)
+    data = _edit(data, central + 8, utf8_flag)
+    data = _edit(data, local + 6, utf8_flag)
+    return _edit(data, local + 30, b"\xff")
+
+
+@pytest.mark.parametrize(
+    "corrupt,error,raw",
+    [
+        # the last field is what zipfile itself raises on the edited bytes
+        (_newer_zip_version, NotSupported, "NotImplementedError"),
+        (_central_directory_moved, NotZip, "ValueError"),
+        (_bad_deflate_block, NotZip, "error"),
+        (_stored_entry_runs_past_end, NotZip, "EOFError"),
+        (_name_not_utf8, NotZip, "UnicodeDecodeError"),
+    ],
+)
+def test_corrupt_archive_raises_a_container_error(clean_book_bytes, corrupt, error, raw):
+    data = corrupt(clean_book_bytes)
+    with pytest.raises(error) as caught:
+        open_epub(data)
+    cause = caught.value.__cause__
+    if not isinstance(cause, zipfile.BadZipFile):  # newer zipfiles catch some
+        assert type(cause).__name__ == raw
 
 
 def test_round_trip_preserves_content_and_order(clean_book_bytes):

@@ -1,0 +1,99 @@
+"""Each command loads only the modules it runs: checked in fresh
+interpreters, since this test process has imported everything already."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import epubgen
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+HTTP_STACK = ("urllib.request", "http.client", "email", "concurrent.futures")
+REPAIR_ONLY = ("altgen.backend", "altgen.enrich", "altgen.langdetect", "altgen.reconstruct")
+
+# Prints the altgen modules whose bodies have not run (still lazy; type()
+# does not trigger a load) and the HTTP modules that have been loaded.
+_REPORT = """
+import sys, types
+print(sorted(n for n, m in sys.modules.items()
+             if n.startswith("altgen") and type(m) is not types.ModuleType))
+print(sorted(n for n in sys.modules if n in {http!r} and n not in before))
+"""
+
+
+def _run(script: str, *args: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("ALTGEN_BACKEND_URL", None)
+    code = "import sys\nbefore = set(sys.modules)\n" + textwrap.dedent(script)
+    code += _REPORT.format(http=set(HTTP_STACK))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-2:]
+
+
+def _book(tmp_path) -> Path:
+    book = tmp_path / "book.epub"
+    book.write_bytes(
+        epubgen.make_book(language=None, images=[{"chapter": 0, "name": "fox.png", "alt": None}])
+    )
+    return book
+
+
+def test_cli_import_loads_no_http_stack_and_no_repair_module():
+    lazy, http = _run("import altgen.cli")
+    assert lazy == str(sorted(REPAIR_ONLY))
+    assert http == "[]"
+
+
+def test_audit_never_runs_a_repair_only_module(tmp_path):
+    script = """
+    import io, contextlib
+    from altgen import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["audit", sys.argv[1]]) == 1
+    """
+    lazy, http = _run(script, str(_book(tmp_path)))
+    assert lazy == str(sorted(REPAIR_ONLY))
+    assert http == "[]"
+
+
+def test_stub_repair_loads_repair_modules_but_no_http_stack(tmp_path):
+    script = """
+    import io, contextlib
+    from altgen import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["repair", sys.argv[1], "-o", sys.argv[2], "--jobs", "1"]) == 0
+    """
+    lazy, http = _run(script, str(_book(tmp_path)), str(tmp_path / "out"))
+    assert lazy == "[]"
+    assert http == "[]"
+
+
+def test_lazily_bound_module_imports_as_usual():
+    script = """
+    import altgen.cli
+    import altgen.backend
+    assert altgen.backend.StubBackend().backend_id == "stub"
+    from altgen.backend import RemoteBackend
+    RemoteBackend("http://localhost:9")
+    """
+    lazy, http = _run(script)
+    assert lazy == str(sorted(REPAIR_ONLY[1:]))
+    assert http == str(sorted(HTTP_STACK[:3]))
+
+
+def test_backend_imported_first_is_the_module_pipeline_uses():
+    script = """
+    import altgen.backend
+    import altgen.pipeline
+    assert altgen.pipeline.backend is altgen.backend is sys.modules["altgen.backend"]
+    """
+    lazy, _ = _run(script)
+    assert lazy == str(sorted(REPAIR_ONLY[1:]))

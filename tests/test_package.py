@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from xml.sax import saxutils
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import epubgen
 from altgen.container import ArchiveEntry, InvariantViolation
@@ -10,6 +14,7 @@ from altgen.package import (
     DuplicateManifestHref,
     DuplicateManifestId,
     MalformedXml,
+    escape,
     has_scheme,
     parse_opf,
     resolve_href,
@@ -259,3 +264,9 @@ def test_foreign_metadata_child_round_trips():
     again = parse_opf(entry(serialize_opf(pkg)))
     assert again == pkg
     assert b"keep me" in serialize_opf(pkg)
+
+
+@given(st.text(alphabet=st.sampled_from('&<>"\'a; \u00e9'), max_size=40) | st.text(max_size=40))
+def test_escape_matches_saxutils(text):
+    assert escape(text) == saxutils.escape(text)
+    assert escape(text, quote=True) == saxutils.escape(text, {'"': "&quot;"})

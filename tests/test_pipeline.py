@@ -5,9 +5,12 @@ from __future__ import annotations
 import codecs
 import errno
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altgen import pipeline
 from altgen.backend import BackendUnavailable, StubBackend
@@ -73,7 +76,7 @@ def _clean_copy_unwritable(tmp_path, monkeypatch):
     def disk_full(path, data):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr("altgen.pipeline.write_file_atomic", disk_full)
+    monkeypatch.setattr("altgen.reconstruct.write_file_atomic", disk_full)
     return write_book(tmp_path / "clean.epub"), StubBackend(), False
 
 
@@ -618,6 +621,74 @@ class TestDeterminism:
         serial = self._snapshot(out)
         run_repair([src], PipelineConfig(jobs=8, output_dir=out))
         assert self._snapshot(out) == serial
+
+
+# Up to eight byte flips, deletions or insertions, each at a position taken
+# modulo the book's length at that point.
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("flip", "delete", "insert")),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=255),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for op, where, value in edits:
+        at = where % len(out)
+        if op == "flip":
+            out[at] ^= 1 << (value % 8)
+        elif op == "delete":
+            del out[at]
+        else:
+            out.insert(at, value)
+    return bytes(out)
+
+
+def _rows(results) -> dict[str, dict]:
+    """Each result's row by book name, without paths and timing."""
+    rows = {}
+    for r in results:
+        row = r.to_dict()
+        for key in ("input_path", "output_path", "elapsed_seconds"):
+            del row[key]
+        rows[Path(r.input_path).name] = row
+    return rows
+
+
+def _audit_and_repair(src: Path, out: Path) -> tuple[dict, dict, dict[str, bytes]]:
+    audited, _ = run_audit([src], PipelineConfig(jobs=1))
+    repaired, _ = run_repair([src], PipelineConfig(jobs=1, output_dir=out))
+    books = {p.name: p.read_bytes() for p in out.glob("*.epub")}
+    return _rows(audited), _rows(repaired), books
+
+
+@settings(max_examples=80, deadline=None)
+@given(edits=_EDITS)
+def test_mutant_container_fails_only_its_own_book(edits):
+    # [good, mutant, good]: the good books get the rows and bytes they get
+    # without the mutant, and the mutant gets exactly one row
+    defective = make_book(**defective_kwargs())
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for src in (tmp / "alone", tmp / "mixed"):
+            src.mkdir()
+            (src / "a.epub").write_bytes(defective)
+            write_book(src / "c.epub")
+        (tmp / "mixed" / "b.epub").write_bytes(_mutate(defective, edits))
+        alone = _audit_and_repair(tmp / "alone", tmp / "alone-out")
+        mixed = _audit_and_repair(tmp / "mixed", tmp / "mixed-out")
+    for rows, rows_alone in zip(mixed[:2], alone[:2]):
+        assert sorted(rows) == ["a.epub", "b.epub", "c.epub"]
+        mutant = rows.pop("b.epub")
+        assert rows == rows_alone
+        assert (mutant["status"] == "Failed") == bool(mutant["reason"])
+    mixed[2].pop("b.epub", None)
+    assert mixed[2] == alone[2]
 
 
 def _repair_and_reference(tmp_path, monkeypatch=None) -> tuple[Path, Path]:
