@@ -15,8 +15,11 @@ the remote client on up to DEFAULT_INFLIGHT_CAP (4) threads. The cap is a
 semaphore: the pipeline makes one `multiprocessing` semaphore and hands it
 to the client in every worker process, so the cap holds across the whole
 run. Callers use the results in request order, so output does not depend
-on which answer arrives first. Validation embeds up to 32 texts (16
-reference pairs) per /v1/embed request, through `map_requests`.
+on which answer arrives first. Validation asks `embed_chunk_pairs` how
+many reference pairs go into one embed call and runs the calls through
+`map_requests`: the stub takes 16 pairs per call, the remote client spreads
+the pairs evenly over `inflight_cap` /v1/embed requests of at most
+MAX_EMBED_PAIRS pairs, so they all go out in one round.
 
 A reply that is not HTTP at all (a bad status line, an overlong header
 line, a body cut short) is a MalformedResponse and is not retried; a
@@ -42,7 +45,7 @@ from xml.etree import ElementTree as ET
 
 from altgen.content import ContextBundle, normalize_ws
 from altgen.errors import AltgenError
-from altgen.metrics import LengthMismatch, tokenize
+from altgen.metrics import EMBED_CHUNK_PAIRS, LengthMismatch, tokenize
 
 SUPPORTED_MEDIA_TYPES = frozenset(
     {"image/jpeg", "image/png", "image/gif", "image/svg+xml", "image/webp"}
@@ -57,8 +60,12 @@ RETRY_BACKOFF = (0.5, 2.0)
 DEFAULT_INFLIGHT_CAP = 4
 MAX_RESPONSE_BYTES = 8 * 1024 * 1024
 MAX_EMBED_TEXT = 2000
+# reference pairs (two texts each) in one /v1/embed request
+MAX_EMBED_PAIRS = 128
 
 ENV_BACKEND_TOKEN = "ALTGEN_BACKEND_TOKEN"
+
+_NUMBER_TYPES = {int, float}
 
 
 class BackendError(AltgenError):
@@ -259,6 +266,12 @@ class StubBackend(_Backend):
         """`fan_out` in the calling thread: the stub's work is all CPU."""
         return fan_out(fn, items, 1, stop)
 
+    def embed_chunk_pairs(self, n_pairs: int) -> int:
+        """Reference pairs per `embed_texts` call when validating `n_pairs`:
+        a vector has one dimension per word of its call, and cosine cost
+        grows with it, so calls stay small."""
+        return EMBED_CHUNK_PAIRS
+
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
         if not texts:
             raise ValueError("texts must be non-empty")
@@ -420,6 +433,11 @@ class RemoteBackend(_Backend):
         caps the requests of concurrent callers."""
         return fan_out(fn, items, self.inflight_cap, stop)
 
+    def embed_chunk_pairs(self, n_pairs: int) -> int:
+        """The pairs spread evenly over `inflight_cap` requests, so that all
+        of them are in flight at once, at most MAX_EMBED_PAIRS each."""
+        return max(1, min(MAX_EMBED_PAIRS, -(-n_pairs // self.inflight_cap)))
+
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
         if not texts:
             raise ValueError("texts must be non-empty")
@@ -436,11 +454,13 @@ class RemoteBackend(_Backend):
         for row in embeddings:
             if not isinstance(row, list):
                 raise MalformedResponse("embedding row is not a list")
-            values = []
-            for x in row:
-                if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
-                    raise MalformedResponse("embedding value is not a finite number")
-                values.append(float(x))
+            # whole-row passes; JSON gives exact types, so bools fail the first
+            try:
+                values = list(map(float, row)) if set(map(type, row)) <= _NUMBER_TYPES else None
+            except OverflowError:  # an integer beyond the float range
+                values = None
+            if values is None or not all(map(math.isfinite, values)):
+                raise MalformedResponse("embedding value is not a finite number")
             lengths.add(len(values))
             vectors.append(values)
         if len(lengths) > 1:

@@ -18,11 +18,13 @@ from pathlib import Path
 
 from altgen.errors import AltgenError
 from altgen.pipeline import (
+    REPORT_FILENAME,
     FileResult,
     PipelineConfig,
     PipelineError,
+    aggregate_results,
     default_backend_name,
-    report_dict,
+    report_json,
     run_audit,
     run_repair,
     run_validate,
@@ -138,14 +140,24 @@ def _print_file_lines(results: list[FileResult], out) -> None:
         print(line, file=out)
 
 
-def _emit_batch_report(results: list[FileResult], config: PipelineConfig, out) -> None:
-    payload = report_dict(results)
+def _emit_batch_report(
+    results: list[FileResult], config: PipelineConfig, out, written: Path | None = None
+) -> None:
+    """`written` is the report file repair wrote: the JSON report is its
+    bytes, so a large report is not encoded twice."""
     if config.report_format == "json":
+        if written is None:
+            text = report_json(results)
+        else:
+            try:
+                text = written.read_bytes().decode("utf-8")
+            except OSError as exc:
+                raise PipelineError(f"cannot read {written.name}: {exc}") from exc
         # one write: json.dump would make one per token
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(text + "\n")
         return
     _print_file_lines(results, out)
-    agg = payload["aggregate"]
+    agg = aggregate_results(results)
     print(
         "aggregate: pre_errors={pre_errors} post_errors={post_errors} "
         "err_percent={err_percent:.2f} seconds_per_file={seconds_per_file:.3f}".format(**agg),
@@ -163,7 +175,9 @@ def main(argv: list[str] | None = None) -> int:
             return code
         if args.command == "repair":
             results, code = run_repair(args.paths, config)
-            _emit_batch_report(results, config, sys.stdout)
+            _emit_batch_report(
+                results, config, sys.stdout, config.output_dir / REPORT_FILENAME
+            )
             return code
         report, code = run_validate(args.repaired_dir, args.references, config)
         if config.report_format == "json":

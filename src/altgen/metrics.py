@@ -3,11 +3,16 @@ penalty, error reduction rate, and corpus-level aggregation.
 
 One canonical tokenizer serves BLEU and the stub embedder: split on Unicode
 whitespace, strip leading/trailing punctuation, lowercase, drop empties.
+
+corpus_metrics embeds its pairs in chunks of a size the caller picks (the
+backend's `embed_chunk_pairs`), and embeds the pairs of a failed chunk one
+pair per call, so one bad text costs only its own pair.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import unicodedata
@@ -18,7 +23,7 @@ from typing import Callable, Sequence
 from altgen.errors import AltgenError
 
 
-# Pairs per embedder call in corpus_metrics: 32 texts per request.
+# Pairs per embedder call in corpus_metrics unless the caller says otherwise.
 EMBED_CHUNK_PAIRS = 16
 
 
@@ -50,6 +55,11 @@ def tokenize(text: str) -> list[str]:
     """Canonical tokenizer shared by BLEU and the stub embedder."""
     tokens = []
     for raw in text.split():
+        # no code point is both alphanumeric and punctuation, so a token
+        # with alphanumeric ends has nothing to strip
+        if raw[0].isalnum() and raw[-1].isalnum():
+            tokens.append(raw.lower())
+            continue
         start, end = 0, len(raw)
         while start < end and _is_punct(raw[start]):
             start += 1
@@ -79,7 +89,7 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 def bleu(
@@ -114,10 +124,13 @@ def bleu(
         if total == 0:
             continue
         ref_counts = [_ngram_counts(r, n) for r in refs]
-        clipped = 0
-        for gram, count in cand_counts.items():
-            best = max(rc[gram] for rc in ref_counts)
-            clipped += min(count, best)
+        if len(ref_counts) == 1:
+            clipped = sum((cand_counts & ref_counts[0]).values())
+        else:
+            clipped = 0
+            for gram, count in cand_counts.items():
+                best = max(rc[gram] for rc in ref_counts)
+                clipped += min(count, best)
         if smoothing:
             p = (clipped + 1) / (total + 1)
         else:
@@ -175,13 +188,10 @@ class MetricReport:
         }
 
 
-def _pair_cosine(vectors: Sequence[Sequence[float]]) -> float | None:
-    """Cosine of one pair's two vectors; None if there are not exactly two
-    or the cosine is undefined."""
-    if len(vectors) != 2:
-        return None
+def _pair_cosine(a: Sequence[float], b: Sequence[float]) -> float | None:
+    """Cosine of one pair's two vectors; None where it is undefined."""
     try:
-        return cosine_similarity(vectors[0], vectors[1])
+        return cosine_similarity(a, b)
     except MetricError:
         return None
 
@@ -189,25 +199,18 @@ def _pair_cosine(vectors: Sequence[Sequence[float]]) -> float | None:
 def _chunk_cosines(
     chunk: Sequence[tuple[str, str]],
     embedder: Callable[[list[str]], list[Sequence[float]]],
-) -> list[float | None]:
-    """Each pair's cosine, None where it failed, from one embedder call for
-    the whole chunk. If that call fails or returns the wrong count, the
-    pairs are embedded one at a time, so only the pair at fault fails."""
+) -> list[float | None] | None:
+    """Each pair's cosine, None where it is undefined, from one embedder
+    call for the whole chunk; None if that call fails or returns the wrong
+    number of vectors."""
     texts = [text for pair in chunk for text in pair]
     try:
         vectors = embedder(texts)
     except AltgenError:
-        vectors = ()
-    if len(vectors) == len(texts):
-        return [_pair_cosine(vectors[i : i + 2]) for i in range(0, len(texts), 2)]
-    out: list[float | None] = []
-    for pair in chunk:
-        try:
-            vectors = embedder(list(pair))
-        except AltgenError:
-            vectors = ()
-        out.append(_pair_cosine(vectors))
-    return out
+        return None
+    if len(vectors) != len(texts):
+        return None
+    return [_pair_cosine(vectors[i], vectors[i + 1]) for i in range(0, len(texts), 2)]
 
 
 def corpus_metrics(
@@ -218,33 +221,36 @@ def corpus_metrics(
     bleu_max_n: int = 4,
     smoothing: bool = False,
     mapper: Callable = map,
+    chunk_pairs: int = EMBED_CHUNK_PAIRS,
 ) -> MetricReport:
     """Mean cosine and sentence BLEU over (candidate, reference) text pairs.
 
-    Pairs are embedded EMBED_CHUNK_PAIRS at a time, one embedder call per
+    Pairs are embedded `chunk_pairs` at a time, one embedder call per
     chunk. `mapper(fn, chunks)` runs the chunks and gives their results in
     chunk order, like the builtin `map` it defaults to; a backend's
-    `map_requests` runs them concurrently. A pair whose embedding or scoring
-    fails is excluded from that metric's mean and counted in the report.
-    err_percent is left unset; the pipeline fills it from stored audit
-    reports.
+    `map_requests` runs them concurrently. The pairs of every chunk whose
+    call fails or returns the wrong number of vectors are then embedded one
+    pair per call, all through one more `mapper` call, so only the pair at
+    fault fails. A pair whose embedding or scoring fails is excluded from
+    that metric's mean and counted in the report. err_percent is left
+    unset; the pipeline fills it from stored audit reports.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
-    cosines: list[float] = []
-    bleus: list[float] = []
-    embed_failures = 0
-    bleu_failures = 0
     chunks = [
-        pairs[start : start + EMBED_CHUNK_PAIRS]
-        for start in range(0, len(pairs), EMBED_CHUNK_PAIRS)
+        pairs[start : start + chunk_pairs] for start in range(0, len(pairs), chunk_pairs)
     ]
-    for values in mapper(functools.partial(_chunk_cosines, embedder=embedder), chunks):
-        for value in values:
-            if value is None:
-                embed_failures += 1
-            else:
-                cosines.append(value)
+    embed = functools.partial(_chunk_cosines, embedder=embedder)
+    results = list(mapper(embed, chunks))
+    retry = [pair for chunk, result in zip(chunks, results) if result is None for pair in chunk]
+    retried = iter(mapper(embed, [[pair] for pair in retry]))
+    cosines: list[float] = []
+    for chunk, result in zip(chunks, results):
+        if result is None:  # its pairs' own calls, in pair order
+            result = [one[0] if one else None for one in itertools.islice(retried, len(chunk))]
+        cosines.extend(value for value in result if value is not None)
+    bleus: list[float] = []
+    bleu_failures = 0
     for candidate, reference in pairs:
         try:
             bleus.append(
@@ -258,6 +264,6 @@ def corpus_metrics(
         seconds_per_file=math.fsum(timings) / len(timings) if timings else None,
         n_files=len(timings),
         n_pairs=len(pairs),
-        embed_failures=embed_failures,
+        embed_failures=len(pairs) - len(cosines),
         bleu_failures=bleu_failures,
     )

@@ -37,9 +37,10 @@ once, in the pool initializer; remote backends in all workers share one
 in-flight semaphore made by the parent. Results are sorted by input path,
 so parallel runs give the same per-file bytes and report as jobs=1. A
 worker process that dies is a PipelineError. Validation runs in the calling
-process, its embedding requests through the backend's `map_requests`:
-concurrent under the in-flight cap for a remote backend, serial for the
-stub.
+process, its embedding calls through the backend's `map_requests`, in
+chunks the backend sizes (`embed_chunk_pairs`): for a remote backend, one
+request per in-flight slot, all sent at once; for the stub, 16 pairs per
+call, run serially.
 """
 
 from __future__ import annotations
@@ -536,6 +537,12 @@ def report_dict(results: list[FileResult]) -> dict:
     }
 
 
+def report_json(results: list[FileResult]) -> str:
+    """The JSON report: what repair writes to REPORT_FILENAME, and what
+    --report json prints."""
+    return json.dumps(report_dict(results), indent=2, sort_keys=True)
+
+
 def run_audit(paths: list[str | Path], config: PipelineConfig) -> tuple[list[FileResult], int]:
     files = collect_epub_paths(paths)
     workers = _workers(config, files, cpu_bound=True)
@@ -570,7 +577,7 @@ def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fi
         items = [(path, names[path]) for path in _largest_first(files)]
         results = _run_pool(_repair_task, items, workers, config)
     results.sort(key=lambda r: r.input_path)
-    payload = json.dumps(report_dict(results), indent=2, sort_keys=True).encode("utf-8")
+    payload = report_json(results).encode("utf-8")
     try:
         reconstruct.write_file_atomic(config.output_dir / REPORT_FILENAME, payload)
     except OSError as exc:
@@ -595,11 +602,15 @@ def load_references(path: Path) -> list[dict]:
         raise PipelineError(f"unreadable references file: {exc}") from exc
     if not isinstance(parsed, list):
         raise PipelineError("references file must be a JSON array")
-    for row in parsed:
+    for k, row in enumerate(parsed):
         if not isinstance(row, dict) or not {"epub", "doc", "index", "alt"} <= set(row):
             raise PipelineError(
                 'reference entries need "epub", "doc", "index", and "alt" fields'
             )
+        # a bad index only makes the reference missing; these cannot be used
+        for key in ("epub", "doc", "alt"):
+            if not isinstance(row[key], str):
+                raise PipelineError(f'reference {k}: "{key}" must be a string')
     return parsed
 
 
@@ -665,6 +676,7 @@ def run_validate(
             bleu_max_n=config.bleu_max_n,
             smoothing=config.smoothing,
             mapper=client.map_requests,
+            chunk_pairs=client.embed_chunk_pairs(len(pairs)),
         )
     else:
         report = MetricReport(n_files=len(timings))

@@ -2,8 +2,9 @@
 
 These are the original, straightforward forms: one embedder call per pair,
 a stub embedder that builds each dense vector and takes its norm from it,
-and a cosine over generator sums. The chunked code must give bit-identical
-reports.
+a cosine over generator sums, and the tokenizer and BLEU of
+`metric_oracles`. The chunked code must give bit-identical reports. Also the
+remote client's check of an /v1/embed reply, one value at a time.
 """
 
 from __future__ import annotations
@@ -11,16 +12,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from altgen.backend import MAX_EMBED_TEXT, TextTooLong
+from altgen.backend import MAX_EMBED_TEXT, MalformedResponse, TextTooLong
 from altgen.errors import AltgenError
-from altgen.metrics import (
-    LengthMismatch,
-    MetricError,
-    MetricReport,
-    ZeroVector,
-    bleu,
-    tokenize,
-)
+from altgen.metrics import LengthMismatch, MetricError, MetricReport, ZeroVector
+from metric_oracles import bleu, tokenize
 
 
 def stub_embed(texts: list[str]) -> list[list[float]]:
@@ -95,3 +90,27 @@ def corpus_metrics(
         embed_failures=embed_failures,
         bleu_failures=bleu_failures,
     )
+
+
+def embedding_rows(embeddings, n_texts: int) -> list[list[float]]:
+    """The vectors of a parsed /v1/embed reply's "embeddings" for n_texts
+    texts, checked value by value."""
+    if not isinstance(embeddings, list):
+        raise MalformedResponse("embed response lacks embeddings list")
+    if len(embeddings) != n_texts:
+        raise LengthMismatch(f"asked for {n_texts} embeddings, got {len(embeddings)}")
+    lengths = set()
+    vectors: list[list[float]] = []
+    for row in embeddings:
+        if not isinstance(row, list):
+            raise MalformedResponse("embedding row is not a list")
+        values = []
+        for x in row:
+            if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
+                raise MalformedResponse("embedding value is not a finite number")
+            values.append(float(x))
+        lengths.add(len(values))
+        vectors.append(values)
+    if len(lengths) > 1:
+        raise LengthMismatch(f"embedding rows have mixed lengths {sorted(lengths)}")
+    return vectors

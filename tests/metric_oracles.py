@@ -1,13 +1,20 @@
-"""Hand-computed expected values for the metric suite.
+"""Hand-computed expected values for the metric suite, and the plain forms
+of the tokenizer and of BLEU that the fast ones in `altgen.metrics` must
+match.
 
-Every expectation below was derived on paper from the definitions (clipped
-n-gram precision, uniform weights over populated levels, brevity penalty
-exp(1 - r/c) when c <= r, cosine = dot / (|a||b|)); the implementation was
-never consulted for these numbers. Counts are spelled out in comments so a
-reviewer can re-derive them.
+Every expectation in the case tables was derived on paper from the
+definitions (clipped n-gram precision, uniform weights over populated
+levels, brevity penalty exp(1 - r/c) when c <= r, cosine = dot / (|a||b|));
+the implementation was never consulted for these numbers. Counts are
+spelled out in comments so a reader can re-derive them.
 """
 
 import math
+import unicodedata
+from collections import Counter
+from typing import Sequence
+
+from altgen.metrics import EmptyCandidate, NoReferences
 
 # (vector_a, vector_b, expected)
 COSINE_CASES = [
@@ -94,3 +101,65 @@ BLEU_CASES = [
     # substitution in the middle: p1 = 2/3, c = r so BP = exp(0) = 1
     ("a b c".split(), ["a x c".split()], 1, False, 2.0 / 3.0),
 ]
+
+
+def tokenize(text: str) -> list[str]:
+    """Split on whitespace, strip each token's leading and trailing
+    punctuation (Unicode category P*), lowercase, drop empties."""
+    tokens = []
+    for raw in text.split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        token = raw[start:end].lower()
+        if token:
+            tokens.append(token)
+    return tokens
+
+
+def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def bleu(
+    candidate: Sequence[str],
+    references: Sequence[Sequence[str]],
+    max_n: int = 4,
+    smoothing: bool = False,
+) -> float:
+    """Sentence BLEU, each candidate n-gram clipped by its best reference
+    count one at a time."""
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    cand = list(candidate)
+    refs = [list(r) for r in references]
+    if not cand:
+        raise EmptyCandidate("candidate has no tokens")
+    if not refs or all(not r for r in refs):
+        raise NoReferences("need at least one non-empty reference")
+    log_precisions: list[float] = []
+    for n in range(1, max_n + 1):
+        cand_counts = _ngram_counts(cand, n)
+        total = sum(cand_counts.values())
+        if total == 0:
+            continue
+        ref_counts = [_ngram_counts(r, n) for r in refs]
+        clipped = 0
+        for gram, count in cand_counts.items():
+            best = max(rc[gram] for rc in ref_counts)
+            clipped += min(count, best)
+        if smoothing:
+            p = (clipped + 1) / (total + 1)
+        else:
+            if clipped == 0:
+                return 0.0
+            p = clipped / total
+        log_precisions.append(math.log(p))
+    weight = 1.0 / len(log_precisions)
+    geo_mean = math.exp(math.fsum(weight * lp for lp in log_precisions))
+    c = len(cand)
+    r = min((len(ref) for ref in refs), key=lambda rl: (abs(rl - c), rl))
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    return min(1.0, bp * geo_mean)

@@ -9,7 +9,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import embed_oracles
 import epubgen
 from mockserver import MockBackendServer, RawReplyServer, figure_captions
 from altgen.backend import (
@@ -362,6 +365,58 @@ class TestRemoteErrors:
             backend = RemoteBackend(server.url)
             with pytest.raises(MalformedResponse):
                 backend.detect_language("hello there")
+
+
+# what json.loads gives, with integers inside the float range
+_JSON_VALUE = st.one_of(
+    st.floats(),
+    st.integers(-(2**64), 2**64),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_EMBEDDINGS = st.one_of(
+    st.lists(st.one_of(st.lists(_JSON_VALUE, max_size=4), _JSON_VALUE), max_size=4),
+    st.lists(st.lists(st.one_of(st.floats(), st.integers(-9, 9)), min_size=2, max_size=2)),
+    _JSON_VALUE,
+)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the reference raises what the client must raise
+        return type(exc), str(exc)
+
+
+class TestEmbedReplies:
+    def test_chunk_pairs(self):
+        assert StubBackend().embed_chunk_pairs(342) == 16
+        remote = RemoteBackend("http://127.0.0.1:9")
+        # spread over the four in-flight slots, at most 128 pairs a request
+        assert [remote.embed_chunk_pairs(n) for n in (1, 4, 5, 101, 342, 512, 513, 9000)] == [
+            1, 1, 2, 26, 86, 128, 128, 128,
+        ]
+        assert RemoteBackend("http://127.0.0.1:9", inflight_cap=1).embed_chunk_pairs(101) == 101
+
+    @settings(max_examples=400, deadline=None)
+    @given(embeddings=_EMBEDDINGS, extra=st.integers(-1, 1))
+    def test_rows_checked_as_the_value_by_value_reference(self, embeddings, extra):
+        n_texts = max(1, len(embeddings) + extra if isinstance(embeddings, list) else 1)
+        backend = RemoteBackend("http://127.0.0.1:9")
+        backend._post = lambda path, payload: {"embeddings": embeddings}
+        got = _outcome(backend.embed_texts, ["t"] * n_texts)
+        assert got == _outcome(embed_oracles.embedding_rows, embeddings, n_texts)
+        if isinstance(got, list):
+            assert all(type(x) is float for row in got for x in row)
+
+    def test_integer_beyond_the_float_range_is_malformed(self):
+        with MockBackendServer() as server:
+            server.enqueue_raw(200, b'{"embeddings": [[1' + b"0" * 400 + b"]]}")
+            with pytest.raises(MalformedResponse, match="not a finite number"):
+                RemoteBackend(server.url).embed_texts(["a"])
 
 
 class TestConcurrencyCap:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from altgen.cli import _make_parser, build_config, main
-from altgen.pipeline import PipelineError, REPORT_FILENAME
+from altgen.pipeline import REPORT_FILENAME, FileResult, PipelineError
 from epubgen import make_book
 
 
@@ -155,6 +155,17 @@ class TestRepairCommand:
         assert main(["repair", str(book), "-o", str(blocker)]) == 2
         assert "altgen: error:" in capsys.readouterr().err
 
+    def test_json_report_is_the_written_file(self, tmp_path, capsys, monkeypatch):
+        book = write_defective(tmp_path / "story.epub")
+        out = tmp_path / "out"
+        rows = []
+        to_dict = FileResult.to_dict
+        monkeypatch.setattr(FileResult, "to_dict", lambda self: rows.append(1) or to_dict(self))
+        assert main(["repair", str(book), "-o", str(out), "--report", "json"]) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert stdout == (out / REPORT_FILENAME).read_bytes() + b"\n"
+        assert len(rows) == 1  # the report is encoded once
+
     def test_unwritable_report(self, tmp_path, capsys):
         book = write_defective(tmp_path / "story.epub")
         out = tmp_path / "out"
@@ -231,6 +242,16 @@ class TestValidateCommand:
         capsys.readouterr()
         assert main(["validate", str(out), "--references", str(bad)]) == 2
         assert "altgen: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("alt", 5), ("epub", 5), ("doc", ["x"])])
+    def test_reference_field_not_a_string_exit_two(self, tmp_path, capsys, key, value):
+        out, refs = self._repaired(tmp_path)
+        rows = json.loads(refs.read_text(encoding="utf-8"))
+        rows[1][key] = value
+        refs.write_text(json.dumps(rows), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(out), "--references", str(refs)]) == 2
+        assert capsys.readouterr().err == f'altgen: error: reference 1: "{key}" must be a string\n'
 
     def test_bleu_flags_pass_through(self, tmp_path, capsys):
         out, refs = self._repaired(tmp_path)

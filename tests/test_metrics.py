@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import embed_oracles
+import metric_oracles
 from metric_oracles import BLEU_CASES, COSINE_CASES
 from altgen.backend import BackendUnavailable, StubBackend
 from altgen.metrics import (
@@ -50,6 +53,48 @@ class TestTokenize:
     def test_empty_and_punct_only(self):
         assert tokenize("") == []
         assert tokenize("... !?") == []
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the references raise what the code must raise
+        return type(exc), str(exc)
+
+
+_TOKEN_CHARS = st.one_of(
+    st.characters(),
+    st.sampled_from(" \t\n\u00a0\u3000.,;:!?'\"()«»-\u2026\u00bfaZ9éß"),
+)
+
+
+class TestFastPathsMatchReferences:
+    def test_no_alphanumeric_character_is_punctuation(self):
+        # what lets tokenize skip the strip for a token with alphanumeric ends
+        found = [
+            cp
+            for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+        ]
+        assert found == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text(_TOKEN_CHARS, max_size=40))
+    def test_tokenize_matches_reference(self, text):
+        assert tokenize(text) == metric_oracles.tokenize(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        cand=st.lists(st.sampled_from("abcd"), max_size=9),
+        refs=st.lists(st.lists(st.sampled_from("abcde"), max_size=9), max_size=3),
+        max_n=st.integers(0, 5),
+        smoothing=st.booleans(),
+    )
+    def test_bleu_matches_reference(self, cand, refs, max_n, smoothing):
+        assert _outcome(bleu, cand, refs, max_n, smoothing) == _outcome(
+            metric_oracles.bleu, cand, refs, max_n, smoothing
+        )
 
 
 class TestCosineOracles:

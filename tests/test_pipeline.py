@@ -5,6 +5,8 @@ from __future__ import annotations
 import codecs
 import errno
 import json
+import random
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -689,6 +691,48 @@ def test_mutant_container_fails_only_its_own_book(edits):
         assert (mutant["status"] == "Failed") == bool(mutant["reason"])
     mixed[2].pop("b.epub", None)
     assert mixed[2] == alone[2]
+
+
+def test_pooled_run_over_mutants_matches_one_process(tmp_path, monkeypatch):
+    # 64 books, so that audit and repair each get two worker processes; a
+    # fixed set of byte-edited mutants among repairable and clean books
+    monkeypatch.setenv("ALTGEN_EPOCH", "0")
+    defective = make_book(**defective_kwargs())
+    clean = make_book()
+    rng = random.Random(20)
+    src = tmp_path / "in"
+    src.mkdir()
+    for k in range(64):
+        data = clean if k % 4 == 3 else defective
+        if k % 2 == 0:
+            ops = ("flip", "delete", "insert")
+            edits = [
+                (rng.choice(ops), rng.randrange(2**32), rng.randrange(256))
+                for _ in range(rng.randint(1, 8))
+            ]
+            data = _mutate(data, edits)
+        (src / f"book{k:02}.epub").write_bytes(data)
+    pools = []
+    run_pool = pipeline._run_pool
+
+    def counted_pool(task, items, workers, *args):
+        pools.append(workers)
+        return run_pool(task, items, workers, *args)
+
+    monkeypatch.setattr(pipeline, "_run_pool", counted_pool)
+    out = tmp_path / "out"
+    runs = []
+    for jobs in (1, 2):
+        audited, audit_code = run_audit([src], PipelineConfig(jobs=jobs))
+        _, repair_code = run_repair([src], PipelineConfig(jobs=jobs, output_dir=out))
+        audit_report = json.dumps(pipeline.report_dict(audited), sort_keys=True)
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs.append((audit_report, audit_code, repair_code, written))
+        shutil.rmtree(out)
+    assert pools == [2, 2]
+    assert runs[0] == runs[1]
+    statuses = {row["status"] for row in json.loads(runs[0][3][REPORT_FILENAME])["files"]}
+    assert statuses == {"Failed", "Repaired", "CleanSkipped"}
 
 
 def _repair_and_reference(tmp_path, monkeypatch=None) -> tuple[Path, Path]:

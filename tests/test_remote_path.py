@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from pathlib import Path
 
@@ -173,6 +174,42 @@ def test_refused_text_fails_only_its_pair():
     assert report.n_pairs == EMBED_CHUNK_PAIRS + 2
 
 
+def test_refused_text_in_a_full_remote_chunk_fails_only_its_pair():
+    n_pairs = 4 * 86  # four chunks of 86 pairs, one per in-flight slot
+    pairs = [(f"a red fox {k}", "the fox at dusk") for k in range(n_pairs)]
+    embed = _hashed_embeddings(failing_text="a red fox 100")
+    lock = threading.Lock()
+    retries = {"active": 0, "peak": 0}
+
+    def respond(path: str, body: bytes) -> tuple[int, bytes]:
+        if len(json.loads(body)["texts"]) > 2:
+            return embed(path, body)
+        with lock:
+            retries["active"] += 1
+            retries["peak"] = max(retries["peak"], retries["active"])
+        try:
+            time.sleep(0.005)
+            return embed(path, body)
+        finally:
+            with lock:
+                retries["active"] -= 1
+
+    with MockBackendServer() as server:
+        server.script.respond = respond
+        backend = RemoteBackend(server.url)
+        chunk_pairs = backend.embed_chunk_pairs(n_pairs)
+        report = corpus_metrics(
+            pairs, backend.embed_texts, mapper=backend.map_requests, chunk_pairs=chunk_pairs
+        )
+        sizes = [len(json.loads(r.body)["texts"]) for r in server.script.requests]
+    assert chunk_pairs == 86
+    # the second chunk is refused and its 86 pairs retried one per request
+    assert sorted(sizes) == [2] * 86 + [172] * 4
+    assert report.embed_failures == 1
+    assert report.n_pairs == n_pairs
+    assert 1 < retries["peak"] <= 4
+
+
 def _one_figure_per_chapter(path: Path, n_chapters: int) -> Path:
     path.write_bytes(
         epubgen.make_book(
@@ -260,7 +297,7 @@ def _validate(out: Path, refs: Path, url: str, capsys) -> tuple[int, dict]:
 
 def test_validate_embeds_chunks_concurrently_with_the_same_report(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ALTGEN_EPOCH", "0")
-    n_images = 6 * EMBED_CHUNK_PAIRS + 5  # seven chunks
+    n_images = 6 * EMBED_CHUNK_PAIRS + 5  # one request per in-flight slot
     out, refs = _repaired_with_references(tmp_path, n_images)
     with MockBackendServer() as server:
         server.script.respond = _hashed_embeddings()
@@ -275,7 +312,7 @@ def test_validate_embeds_chunks_concurrently_with_the_same_report(tmp_path, monk
         seq_code, seq_report = _validate(out, refs, server.url, capsys)
         sequential_inflight = server.script.max_active
     assert code == seq_code == 0
-    assert 1 < concurrent[0] <= 4 and concurrent[1] == 7
+    assert 1 < concurrent[0] <= 4 and concurrent[1] == 4
     assert sequential_inflight == 1
     assert report["n_pairs"] == n_images and report["embed_failures"] == 0
     assert report == seq_report
