@@ -19,7 +19,9 @@ on which answer arrives first. Validation asks `embed_chunk_pairs` how
 many reference pairs go into one embed call and runs the calls through
 `map_requests`: the stub takes 16 pairs per call, the remote client spreads
 the pairs evenly over `inflight_cap` /v1/embed requests of at most
-MAX_EMBED_PAIRS pairs, so they all go out in one round.
+MAX_EMBED_PAIRS pairs, so they all go out in one round. An embed reply
+too large for MAX_RESPONSE_BYTES (vectors wider than about 1500 values at
+256 texts) is asked for again in halves.
 
 A reply that is not HTTP at all (a bad status line, an overlong header
 line, a body cut short) is a MalformedResponse and is not retried; a
@@ -82,6 +84,10 @@ class BackendRejected(BackendError):
 
 class MalformedResponse(BackendError):
     pass
+
+
+class ResponseTooLarge(MalformedResponse):
+    """The reply body exceeds MAX_RESPONSE_BYTES."""
 
 
 class CandidateInvalid(BackendError):
@@ -377,6 +383,11 @@ class RemoteBackend(_Backend):
             try:
                 with self._gate:
                     with self._opener.open(request, timeout=self.timeout) as response:
+                        if response.length and response.length > MAX_RESPONSE_BYTES:
+                            # announced too large: not worth reading
+                            raise ResponseTooLarge(
+                                f"response exceeds {MAX_RESPONSE_BYTES} bytes"
+                            )
                         raw = response.read(MAX_RESPONSE_BYTES + 1)
                         if response.length and len(raw) <= MAX_RESPONSE_BYTES:
                             # the connection closed before Content-Length bytes
@@ -400,7 +411,7 @@ class RemoteBackend(_Backend):
         else:
             raise BackendUnavailable(str(last_error)) from last_error
         if len(raw) > MAX_RESPONSE_BYTES:
-            raise MalformedResponse(f"response exceeds {MAX_RESPONSE_BYTES} bytes")
+            raise ResponseTooLarge(f"response exceeds {MAX_RESPONSE_BYTES} bytes")
         try:
             parsed = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -441,7 +452,22 @@ class RemoteBackend(_Backend):
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
         if not texts:
             raise ValueError("texts must be non-empty")
-        parsed = self._post("/v1/embed", {"texts": list(texts)})
+        vectors = self._embed_rows(list(texts))
+        lengths = set(map(len, vectors))
+        if len(lengths) > 1:
+            raise LengthMismatch(f"embedding rows have mixed lengths {sorted(lengths)}")
+        return vectors
+
+    def _embed_rows(self, texts: list[str]) -> list[list[float]]:
+        """The checked rows for `texts`, in order; a reply too large for
+        MAX_RESPONSE_BYTES (wide vectors) is asked for again in halves."""
+        try:
+            parsed = self._post("/v1/embed", {"texts": texts})
+        except ResponseTooLarge:
+            if len(texts) < 2:
+                raise
+            half = len(texts) // 2
+            return self._embed_rows(texts[:half]) + self._embed_rows(texts[half:])
         embeddings = parsed.get("embeddings")
         if not isinstance(embeddings, list):
             raise MalformedResponse("embed response lacks embeddings list")
@@ -449,7 +475,6 @@ class RemoteBackend(_Backend):
             raise LengthMismatch(
                 f"asked for {len(texts)} embeddings, got {len(embeddings)}"
             )
-        lengths = set()
         vectors: list[list[float]] = []
         for row in embeddings:
             if not isinstance(row, list):
@@ -461,10 +486,7 @@ class RemoteBackend(_Backend):
                 values = None
             if values is None or not all(map(math.isfinite, values)):
                 raise MalformedResponse("embedding value is not a finite number")
-            lengths.add(len(values))
             vectors.append(values)
-        if len(lengths) > 1:
-            raise LengthMismatch(f"embedding rows have mixed lengths {sorted(lengths)}")
         return vectors
 
     def detect_language(self, text: str) -> tuple[str, float]:

@@ -123,14 +123,9 @@ def bleu(
         total = sum(cand_counts.values())
         if total == 0:
             continue
-        ref_counts = [_ngram_counts(r, n) for r in refs]
-        if len(ref_counts) == 1:
-            clipped = sum((cand_counts & ref_counts[0]).values())
-        else:
-            clipped = 0
-            for gram, count in cand_counts.items():
-                best = max(rc[gram] for rc in ref_counts)
-                clipped += min(count, best)
+        # clip by the per-gram maximum over the references
+        ref_max = functools.reduce(operator.or_, (_ngram_counts(r, n) for r in refs))
+        clipped = sum((cand_counts & ref_max).values())
         if smoothing:
             p = (clipped + 1) / (total + 1)
         else:

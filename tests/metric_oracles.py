@@ -16,6 +16,16 @@ from typing import Sequence
 
 from altgen.metrics import EmptyCandidate, NoReferences
 
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised, so that a fast
+    form and its reference can be compared on errors as well as values."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the references raise what the code must raise
+        return type(exc), str(exc)
+
+
 # (vector_a, vector_b, expected)
 COSINE_CASES = [
     # identical unit vectors

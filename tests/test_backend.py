@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import embed_oracles
 import epubgen
+from metric_oracles import outcome
 from mockserver import MockBackendServer, RawReplyServer, figure_captions
 from altgen.backend import (
     BackendRejected,
@@ -22,6 +23,7 @@ from altgen.backend import (
     CaptionRequest,
     MalformedResponse,
     RemoteBackend,
+    ResponseTooLarge,
     StubBackend,
     TextTooLong,
     canonical_json,
@@ -383,14 +385,6 @@ _EMBEDDINGS = st.one_of(
 )
 
 
-def _outcome(fn, *args):
-    """fn(*args), or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # the reference raises what the client must raise
-        return type(exc), str(exc)
-
-
 class TestEmbedReplies:
     def test_chunk_pairs(self):
         assert StubBackend().embed_chunk_pairs(342) == 16
@@ -407,8 +401,8 @@ class TestEmbedReplies:
         n_texts = max(1, len(embeddings) + extra if isinstance(embeddings, list) else 1)
         backend = RemoteBackend("http://127.0.0.1:9")
         backend._post = lambda path, payload: {"embeddings": embeddings}
-        got = _outcome(backend.embed_texts, ["t"] * n_texts)
-        assert got == _outcome(embed_oracles.embedding_rows, embeddings, n_texts)
+        got = outcome(backend.embed_texts, ["t"] * n_texts)
+        assert got == outcome(embed_oracles.embedding_rows, embeddings, n_texts)
         if isinstance(got, list):
             assert all(type(x) is float for row in got for x in row)
 
@@ -492,6 +486,16 @@ class TestResponseHardening:
             with pytest.raises(MalformedResponse) as err:
                 backend.detect_language("Bonjour tout le monde")
             assert f"exceeds {len(body)} bytes" in str(err.value)
+
+    def test_unannounced_body_over_the_cap_is_too_large(self, monkeypatch):
+        # chunked: no Content-Length, so the cap is met while reading
+        monkeypatch.setattr("altgen.backend.MAX_RESPONSE_BYTES", 16)
+        body = b'{"lang": "fr", "confidence": 0.97}'
+        reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        reply += b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        with RawReplyServer(reply) as server:
+            with pytest.raises(ResponseTooLarge, match="exceeds 16 bytes"):
+                RemoteBackend(server.url).detect_language("Bonjour")
 
     @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
     def test_redirect_is_rejected_not_followed(self, status):

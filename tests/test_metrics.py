@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import embed_oracles
 import metric_oracles
-from metric_oracles import BLEU_CASES, COSINE_CASES
+from metric_oracles import BLEU_CASES, COSINE_CASES, outcome
 from altgen.backend import BackendUnavailable, StubBackend
 from altgen.metrics import (
     EMBED_CHUNK_PAIRS,
@@ -55,14 +55,6 @@ class TestTokenize:
         assert tokenize("... !?") == []
 
 
-def _outcome(fn, *args):
-    """fn(*args), or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # the references raise what the code must raise
-        return type(exc), str(exc)
-
-
 _TOKEN_CHARS = st.one_of(
     st.characters(),
     st.sampled_from(" \t\n\u00a0\u3000.,;:!?'\"()«»-\u2026\u00bfaZ9éß"),
@@ -92,7 +84,7 @@ class TestFastPathsMatchReferences:
         smoothing=st.booleans(),
     )
     def test_bleu_matches_reference(self, cand, refs, max_n, smoothing):
-        assert _outcome(bleu, cand, refs, max_n, smoothing) == _outcome(
+        assert outcome(bleu, cand, refs, max_n, smoothing) == outcome(
             metric_oracles.bleu, cand, refs, max_n, smoothing
         )
 

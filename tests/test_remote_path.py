@@ -130,16 +130,16 @@ def test_strict_cancels_captions_queued_after_a_failure(tmp_path, capsys):
     assert sent <= {f"Figure {k}" for k in range(4)}
 
 
-def _hashed_embeddings(failing_text: str | None = None):
+def _hashed_embeddings(failing_text: str | None = None, dims: int = 8):
     def respond(path: str, body: bytes) -> tuple[int, bytes]:
         texts = json.loads(body)["texts"]
         if failing_text in texts:
             return 400, b'{"error": "text refused"}'
         vectors = []
         for text in texts:
-            vec = [0.0] * 8
+            vec = [0.0] * dims
             for word in text.split():
-                vec[sum(map(ord, word)) % 8] += 1.0
+                vec[sum(map(ord, word)) % dims] += 1.0
             norm = math.sqrt(sum(x * x for x in vec)) or 1.0
             vectors.append([x / norm for x in vec])
         return 200, json.dumps({"embeddings": vectors}).encode("utf-8")
@@ -208,6 +208,29 @@ def test_refused_text_in_a_full_remote_chunk_fails_only_its_pair():
     assert report.embed_failures == 1
     assert report.n_pairs == n_pairs
     assert 1 < retries["peak"] <= 4
+
+
+def test_wide_vectors_split_the_request_in_halves_not_pairs(monkeypatch):
+    n_pairs = 4 * 86
+    pairs = [(f"a red fox {k}", f"the fox at dusk {k % 5}") for k in range(n_pairs)]
+    with MockBackendServer() as server:
+        server.script.respond = _hashed_embeddings(dims=1024)
+        backend = RemoteBackend(server.url)
+        chunk_pairs = backend.embed_chunk_pairs(n_pairs)
+        wanted = corpus_metrics(
+            pairs, backend.embed_texts, mapper=backend.map_requests, chunk_pairs=chunk_pairs
+        )
+        # a 172-text reply of 1024-wide rows is about 0.9 MB, an 86-text one
+        # about 0.45 MB: with a 0.5 MB cap each chunk is asked for in halves
+        monkeypatch.setattr("altgen.backend.MAX_RESPONSE_BYTES", 500_000)
+        del server.script.requests[:]
+        report = corpus_metrics(
+            pairs, backend.embed_texts, mapper=backend.map_requests, chunk_pairs=chunk_pairs
+        )
+        sizes = [len(json.loads(r.body)["texts"]) for r in server.script.requests]
+    assert sorted(sizes) == [86] * 8 + [172] * 4
+    assert report == wanted
+    assert report.embed_failures == 0
 
 
 def _one_figure_per_chapter(path: Path, n_chapters: int) -> Path:
