@@ -11,17 +11,16 @@ Both backends caption a batch with `generate_alts`, which returns results
 in request order, optionally stopping at the first failure, and run a batch
 of any other calls with `map_requests`. Both go through `fan_out`, the one
 thread fan-out: the stub runs its batches serially in the calling thread,
-the remote client on up to DEFAULT_INFLIGHT_CAP (4) threads. The cap is a
-semaphore: the pipeline makes one `multiprocessing` semaphore and hands it
-to the client in every worker process, so the cap holds across the whole
-run. Callers use the results in request order, so output does not depend
-on which answer arrives first. Validation asks `embed_chunk_pairs` how
-many reference pairs go into one embed call and runs the calls through
-`map_requests`: the stub takes 16 pairs per call, the remote client spreads
-the pairs evenly over `inflight_cap` /v1/embed requests of at most
-MAX_EMBED_PAIRS pairs, so they all go out in one round. An embed reply
-too large for MAX_RESPONSE_BYTES (vectors wider than about 1500 values at
-256 texts) is asked for again in halves.
+the remote client on up to DEFAULT_INFLIGHT_CAP (4) threads. The cap is the
+client's semaphore, so it holds across every thread that shares the client,
+the pipeline's book threads among them. Callers use the results in request
+order, so output does not depend on which answer arrives first. Validation
+asks `embed_chunk_pairs` how many reference pairs go into one embed call
+and runs the calls through `map_requests`: the stub takes 16 pairs per
+call, the remote client spreads the pairs evenly over `inflight_cap`
+/v1/embed requests of at most MAX_EMBED_PAIRS pairs, so they all go out in
+one round. An embed reply too large for MAX_RESPONSE_BYTES (vectors wider
+than about 1500 values at 256 texts) is asked for again in halves.
 
 A reply that is not HTTP at all (a bad status line, an overlong header
 line, a body cut short) is a MalformedResponse and is not retried; a
@@ -45,6 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
+from altgen.container import _localname
 from altgen.content import ContextBundle, normalize_ws
 from altgen.errors import AltgenError
 from altgen.metrics import EMBED_CHUNK_PAIRS, LengthMismatch, tokenize
@@ -209,7 +209,7 @@ def _svg_title(image_bytes: bytes) -> str | None:
     except ET.ParseError:
         return None
     for elem in root.iter():
-        if isinstance(elem.tag, str) and elem.tag.rsplit("}", 1)[-1] == "title":
+        if isinstance(elem.tag, str) and _localname(elem.tag) == "title":
             text = normalize_ws("".join(elem.itertext()))
             return text or None
     return None
@@ -331,10 +331,7 @@ class RemoteBackend(_Backend):
     """HTTP client for the captioning service.
 
     Shareable across worker threads; a semaphore caps in-flight requests.
-    `gate` replaces the client's own semaphore with one shared by clients
-    in other processes, such as a `multiprocessing` semaphore made with
-    `inflight_cap` permits. `sleep` is injectable so tests can verify
-    backoff without waiting.
+    `sleep` is injectable so tests can verify backoff without waiting.
     """
 
     supports_language_detection = True
@@ -346,7 +343,6 @@ class RemoteBackend(_Backend):
         timeout: float = 30.0,
         inflight_cap: int = DEFAULT_INFLIGHT_CAP,
         sleep=None,
-        gate=None,
     ) -> None:
         if not url:
             raise ValueError("remote backend requires a URL")
@@ -355,7 +351,7 @@ class RemoteBackend(_Backend):
         self.timeout = timeout
         self.backend_id = self.url
         self.inflight_cap = inflight_cap
-        self._gate = gate if gate is not None else threading.Semaphore(inflight_cap)
+        self._gate = threading.Semaphore(inflight_cap)
         self._sleep = sleep if sleep is not None else time.sleep
         self._opener = _opener_rejecting_redirects()
 

@@ -84,7 +84,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "(default: ALTGEN_BACKEND_URL or stub)",
     )
     parser.add_argument(
-        "--jobs", type=int, metavar="N", help="parallel worker processes (default: CPUs)"
+        "--jobs",
+        type=int,
+        metavar="N",
+        help="books at once: threads for remote repair, else processes (default: CPUs)",
     )
     parser.add_argument(
         "--report", dest="report_format", choices=("json", "text"), help="stdout report format"

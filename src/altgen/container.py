@@ -224,6 +224,13 @@ def open_epub(data: bytes) -> EpubArchive:
     return EpubArchive(entries, rootfile_path)
 
 
+def _localname(tag: str) -> str:
+    """The name of an element or attribute without its namespace."""
+    if tag.startswith("{"):
+        return tag.rsplit("}", 1)[1]
+    return tag.rsplit(":", 1)[-1]
+
+
 def _parse_container_xml(entries: list[ArchiveEntry]) -> str:
     container = next((e for e in entries if e.path == CONTAINER_XML_PATH), None)
     if container is None:
@@ -233,7 +240,7 @@ def _parse_container_xml(entries: list[ArchiveEntry]) -> str:
     except ET.ParseError as exc:
         raise MalformedContainerXml(str(exc)) from exc
     for elem in root.iter():
-        if elem.tag.rsplit("}", 1)[-1] == "rootfile":
+        if _localname(elem.tag) == "rootfile":
             full_path = elem.get("full-path")
             if not full_path:
                 raise MalformedContainerXml("rootfile element lacks full-path")

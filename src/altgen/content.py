@@ -31,9 +31,9 @@ from html.parser import HTMLParser
 from xml.etree import ElementTree as ET
 from xml.parsers import expat
 
-from altgen.container import ArchiveEntry
+from altgen.container import ArchiveEntry, _localname
 from altgen.errors import AltgenError
-from altgen.package import MetaKind, PackageDocument, _localname, escape, resolve_href
+from altgen.package import MetaKind, PackageDocument, escape, resolve_href
 
 BLOCK_TAGS = frozenset({"p", "div", "li", "td", "blockquote", "figcaption"})
 HEADING_TAGS = frozenset({"h1", "h2", "h3", "h4", "h5", "h6"})

@@ -15,7 +15,7 @@ from enum import Enum
 from urllib.parse import unquote, urlsplit
 from xml.etree import ElementTree as ET
 
-from altgen.container import ArchiveEntry, InvariantViolation
+from altgen.container import ArchiveEntry, InvariantViolation, _localname
 from altgen.errors import AltgenError
 
 OPF_NS = "http://www.idpf.org/2007/opf"
@@ -151,12 +151,10 @@ class PackageDocument:
         return None
 
     def spine_items(self) -> list[ManifestItem]:
-        out = []
-        for idref in self.spine:
-            item = self.item_by_id(idref)
-            if item is not None:
-                out.append(item)
-        return out
+        by_id: dict[str, ManifestItem] = {}
+        for item in self.manifest:
+            by_id.setdefault(item.id, item)  # the first item with an id wins
+        return [by_id[idref] for idref in self.spine if idref in by_id]
 
 
 _SCHEME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
@@ -185,12 +183,6 @@ def resolve_href(base_dir: str, href: str) -> str:
         return href
     joined = posixpath.join(base_dir, path) if base_dir else path
     return posixpath.normpath(joined)
-
-
-def _localname(tag: str) -> str:
-    if tag.startswith("{"):
-        return tag.rsplit("}", 1)[1]
-    return tag.rsplit(":", 1)[-1]
 
 
 def _split_tag(tag: str) -> tuple[str | None, str]:

@@ -23,28 +23,27 @@ freezes the timing clock so reports become byte-stable.
 Each command loads only the modules it runs. The modules only repair and
 validate use (backend, enrich, langdetect, reconstruct) are bound lazily:
 registered at import, their bodies run on first use, so audit never loads
-them. Repair loads them, and builds its backend, on the main thread before
-any worker pool or fan-out thread starts (_load), so forked workers inherit
-them loaded, with the HTTP client's modules for a remote backend.
+them. Repair loads them on the main thread before any book thread or
+worker pool starts (_load), so forked workers inherit them loaded.
 
-Files are independent. Audit and repair run in up to `jobs` worker
-processes from the default multiprocessing context, largest file first, in
-chunks of about files / (8 * workers). CPU-bound work (audit, and repair
-with the stub backend) gets one worker per 32 files, and a batch too small
-for two workers runs in the calling process; repair against a remote
-backend gets up to one worker per file. Each worker builds its own backend
-once, in the pool initializer; remote backends in all workers share one
-in-flight semaphore made by the parent. Results are sorted by input path,
-so parallel runs give the same per-file bytes and report as jobs=1. A
-worker process that dies is a PipelineError. Validation runs in the calling
-process, its embedding calls through the backend's `map_requests`, in
-chunks the backend sizes (`embed_chunk_pairs`): for a remote backend, one
-request per in-flight slot, all sent at once; for the stub, 16 pairs per
-call, run serially.
+Files are independent, and taken largest first when several run at once.
+Audit, and repair with the stub backend, are CPU-bound: they run in up to
+`jobs` worker processes from the default multiprocessing context, one per
+32 files, in chunks of about files / (8 * workers), and a batch too small
+for two workers runs in the calling process. Repair against a remote
+backend waits on the network: it runs up to `jobs` books at once on
+threads of the calling process, which share one client and so its
+in-flight cap. Results are sorted by input path, so parallel runs give the
+same per-file bytes and report as jobs=1. A worker process that dies is a
+PipelineError. Validation runs in the calling process, its embedding calls
+through the backend's `map_requests`, in chunks the backend sizes
+(`embed_chunk_pairs`): for a remote backend, one request per in-flight
+slot, all sent at once; for the stub, 16 pairs per call, run serially.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import os
@@ -191,13 +190,11 @@ def _clock() -> float:
     return time.perf_counter()
 
 
-def make_backend(config: PipelineConfig, gate=None):
-    """`gate` is the in-flight semaphore a remote backend shares with other
-    worker processes; None gives it one of its own."""
+def make_backend(config: PipelineConfig):
     if config.backend == "stub":
         return backend.StubBackend()
     token = os.environ.get(backend.ENV_BACKEND_TOKEN)
-    return backend.RemoteBackend(config.backend, token=token, gate=gate)
+    return backend.RemoteBackend(config.backend, token=token)
 
 
 def default_backend_name() -> str:
@@ -424,39 +421,27 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, client) -> F
     return result
 
 
-# A pool worker's config and backend, set once per process by _init_worker.
-_worker: tuple[PipelineConfig, object] | None = None
-
-
-def _init_worker(config: PipelineConfig, gate) -> None:
-    global _worker
-    _load(backend, enrich, langdetect, reconstruct)
-    _worker = (config, make_backend(config, gate))
-
-
-def _repair_task(item: tuple[Path, str]) -> FileResult:
+def _repair_task(item: tuple[Path, str], config: PipelineConfig) -> FileResult:
+    """A stub repair in a pool worker. The stub has no state, so each book
+    builds its own."""
     path, name = item
-    config, client = _worker
-    return _repair_one(path, config.output_dir / name, config, client)
+    return _repair_one(path, config.output_dir / name, config, make_backend(config))
 
 
 # A worker process costs about 30 ms: its fork, its own first calls and the
 # pickling of its results. Auditing a small book takes about 1 ms and
 # repairing it with the stub about 4 ms, so CPU-bound work goes to a worker
 # only in shares of at least this many books; on batches of 4 and of 30
-# books, two processes made audit 12% to 47% slower than one. Repair against
-# a remote backend waits on the network, which workers overlap whatever
-# their share.
+# books, two processes made audit 12% to 47% slower than one.
 CPU_BOOKS_PER_WORKER = 32
 # Each worker's share goes out in about this many chunks, largest books
 # first, so that the workers finish together.
 CHUNKS_PER_WORKER = 8
 
 
-def _workers(config: PipelineConfig, files: list[Path], cpu_bound: bool) -> int:
-    """Worker processes for a batch; 1 means the calling process."""
-    share = CPU_BOOKS_PER_WORKER if cpu_bound else 1
-    return max(1, min(config.jobs, len(files) // share))
+def _workers(config: PipelineConfig, files: list[Path]) -> int:
+    """Worker processes for a CPU-bound batch; 1 means the calling process."""
+    return max(1, min(config.jobs, len(files) // CPU_BOOKS_PER_WORKER))
 
 
 def _largest_first(files: list[Path]) -> list[Path]:
@@ -471,31 +456,18 @@ def _largest_first(files: list[Path]) -> list[Path]:
     return sorted(files, key=size, reverse=True)
 
 
-def _run_pool(
-    task, items: list, workers: int, config: PipelineConfig | None = None
-) -> list[FileResult]:
+def _run_pool(task, items: list, workers: int) -> list[FileResult]:
     """task(item) for every item on `workers` processes, in the order given,
-    a chunk of items at a time. With a repair `config`, each worker first
-    builds its backend (_init_worker)."""
+    a chunk of items at a time."""
     # imported here, so that runs in one process do not load multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    context = multiprocessing.get_context()
-    initializer, initargs = None, ()
-    if config is not None:
-        gate = None
-        if config.backend != "stub":
-            gate = context.Semaphore(backend.DEFAULT_INFLIGHT_CAP)
-        initializer, initargs = _init_worker, (config, gate)
     chunksize = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
     try:
         with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=initializer,
-            initargs=initargs,
+            max_workers=workers, mp_context=multiprocessing.get_context()
         ) as pool:
             return list(pool.map(task, items, chunksize=chunksize))
     except BrokenProcessPool as exc:
@@ -545,7 +517,7 @@ def report_json(results: list[FileResult]) -> str:
 
 def run_audit(paths: list[str | Path], config: PipelineConfig) -> tuple[list[FileResult], int]:
     files = collect_epub_paths(paths)
-    workers = _workers(config, files, cpu_bound=True)
+    workers = _workers(config, files)
     if workers == 1:
         results = [_audit_one(path) for path in files]
     else:
@@ -563,19 +535,22 @@ def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fi
     except OSError as exc:
         raise PipelineError(f"cannot create output directory: {exc}") from exc
     names = assign_output_names(files)
-    workers = _workers(config, files, cpu_bound=config.backend == "stub")
+    workers = _workers(config, files)
     _load(backend, enrich, langdetect, reconstruct)
-    # made before any pool forks, so that workers inherit what it loads: the
-    # HTTP client's modules, for a remote backend
     client = make_backend(config)
-    if workers == 1:
-        results = [
-            _repair_one(path, config.output_dir / names[path], config, client)
-            for path in files
-        ]
+
+    def repair(path: Path) -> FileResult:
+        return _repair_one(path, config.output_dir / names[path], config, client)
+
+    if config.backend != "stub":
+        # books wait on the network: up to `jobs` at once, on threads that
+        # share the one client and its in-flight cap
+        results = backend.fan_out(repair, _largest_first(files), config.jobs)
+    elif workers == 1:
+        results = [repair(path) for path in files]
     else:
         items = [(path, names[path]) for path in _largest_first(files)]
-        results = _run_pool(_repair_task, items, workers, config)
+        results = _run_pool(functools.partial(_repair_task, config=config), items, workers)
     results.sort(key=lambda r: r.input_path)
     payload = report_json(results).encode("utf-8")
     try:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import posixpath
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -158,17 +157,17 @@ def rebuild(
 
 
 def write_file_atomic(path: Path, data: bytes) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename. The temp
+    file is created with mode 0o666, so the kernel applies the umask; the
+    umask is never read, since reading it means setting it, and that races
+    with other threads creating files."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp_name = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-        # mkstemp creates 0600; restore ordinary create permissions
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         try:

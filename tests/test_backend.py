@@ -559,15 +559,6 @@ class TestGenerateAlts:
         assert len(results) == 2 and isinstance(results[1], BackendRejected)
         assert len(stub.generate_alts(self._requests(["a", "b", "c"]))) == 3
 
-    def test_shared_gate_is_used(self):
-        gate = threading.BoundedSemaphore(1)
-        with MockBackendServer() as server:
-            server.script.respond = figure_captions()
-            backend = RemoteBackend(server.url, gate=gate)
-            results = backend.generate_alts(self._requests([f"Figure {k}" for k in range(4)]))
-            assert server.script.max_active == 1
-        assert [r.alt_text for r in results] == [f"Figure number {k}." for k in range(4)]
-
     def test_remote_stop_on_error_sends_nothing_after_a_failure(self):
         captions = [f"Figure {k}" for k in range(8)]
 

@@ -10,6 +10,7 @@ import textwrap
 from pathlib import Path
 
 import epubgen
+from mockserver import MockBackendServer, figure_captions
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -74,6 +75,31 @@ def test_stub_repair_loads_repair_modules_but_no_http_stack(tmp_path):
     lazy, http = _run(script, str(_book(tmp_path)), str(tmp_path / "out"))
     assert lazy == "[]"
     assert http == "[]"
+
+
+def test_remote_repair_runs_books_on_threads_without_multiprocessing(tmp_path):
+    src = tmp_path / "books"
+    src.mkdir()
+    for name in ("a", "b", "c"):
+        (src / f"{name}.epub").write_bytes(
+            epubgen.make_book(
+                images=[{"chapter": 0, "name": "f.png", "alt": None, "caption": "Figure 1"}]
+            )
+        )
+    script = """
+    import io, contextlib
+    from altgen import cli
+    argv = ["repair", sys.argv[1], "-o", sys.argv[2], "--jobs", "2", "--backend", sys.argv[3]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert "multiprocessing" not in sys.modules
+    """
+    with MockBackendServer() as server:
+        server.script.respond = figure_captions()
+        lazy, http = _run(script, str(src), str(tmp_path / "out"), server.url)
+        assert len(server.script.requests) >= 3
+    assert lazy == "[]"
+    assert http == str(sorted(HTTP_STACK))
 
 
 def test_lazily_bound_module_imports_as_usual():

@@ -306,9 +306,22 @@ class TestWriteFileAtomic:
         assert os.listdir(tmp_path) == ["book.epub"]
 
     def test_regular_permissions(self, tmp_path):
-        # mkstemp's 0600 must not leak through to the final file
         target = tmp_path / "book.epub"
         umask = os.umask(0)
         os.umask(umask)
         write_file_atomic(target, b"data")
         assert (target.stat().st_mode & 0o777) == (0o666 & ~umask)
+
+    def test_umask_is_never_set(self, tmp_path, monkeypatch):
+        # setting the umask to read it would race with other threads' writes
+        umask = os.umask(0)
+        os.umask(umask)
+
+        def no_umask(mask):
+            raise AssertionError("write_file_atomic set the umask")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        target = tmp_path / "book.epub"
+        write_file_atomic(target, b"data")
+        assert (target.stat().st_mode & 0o777) == (0o666 & ~umask)
+        assert os.listdir(tmp_path) == ["book.epub"]

@@ -1,6 +1,6 @@
-"""Per-book work in worker processes: pool sizing, the pool under every
-start method, one in-flight cap shared by every worker's remote backend,
-and a worker that dies mid-batch."""
+"""Per-book work run in parallel: pool sizing, the stub pool under every
+start method, remote books on threads under one in-flight cap, and a
+worker process that dies mid-batch."""
 
 from __future__ import annotations
 
@@ -63,15 +63,11 @@ def _pooled_corpus(directory: Path) -> Path:
 def test_worker_count():
     files = [Path(f"{k}.epub") for k in range(10 * CPU_BOOKS_PER_WORKER)]
     share = CPU_BOOKS_PER_WORKER
-    assert _workers(PipelineConfig(jobs=2), files[: 2 * share - 1], cpu_bound=True) == 1
-    assert _workers(PipelineConfig(jobs=2), files[: 2 * share], cpu_bound=True) == 2
-    assert _workers(PipelineConfig(jobs=8), files[: 5 * share], cpu_bound=True) == 5
-    assert _workers(PipelineConfig(jobs=8), files, cpu_bound=True) == 8
-    assert _workers(PipelineConfig(jobs=1), files, cpu_bound=True) == 1
-    # waiting on a remote backend: a worker per file, up to jobs
-    assert _workers(PipelineConfig(jobs=8), files[:3], cpu_bound=False) == 3
-    assert _workers(PipelineConfig(jobs=2), files[:3], cpu_bound=False) == 2
-    assert _workers(PipelineConfig(jobs=4), files[:1], cpu_bound=False) == 1
+    assert _workers(PipelineConfig(jobs=2), files[: 2 * share - 1]) == 1
+    assert _workers(PipelineConfig(jobs=2), files[: 2 * share]) == 2
+    assert _workers(PipelineConfig(jobs=8), files[: 5 * share]) == 5
+    assert _workers(PipelineConfig(jobs=8), files) == 8
+    assert _workers(PipelineConfig(jobs=1), files) == 1
 
 
 def test_largest_books_go_first(tmp_path):
@@ -112,45 +108,66 @@ def test_every_start_method_matches_jobs_1(method, tmp_path, monkeypatch, capsys
     assert two == one
 
 
-def _figure_book(path: Path, n_images: int = 8) -> None:
+def _figure_book(path: Path, numbers=range(8)) -> None:
     path.write_bytes(
         epubgen.make_book(
             n_chapters=1,
             images=[
                 {"chapter": 0, "name": f"fig{k}.png", "alt": None, "caption": f"Figure {k}"}
-                for k in range(n_images)
+                for k in numbers
             ],
         )
     )
 
 
-def test_inflight_cap_holds_across_worker_processes(tmp_path, monkeypatch, capsys):
+def _remote_repair(src: Path, out: Path, url: str, jobs: int, *flags: str) -> int:
+    return main(["repair", str(src), "-o", str(out), "--jobs", str(jobs), "--backend", url,
+                 "--report", "json", *flags])
+
+
+def test_inflight_cap_holds_across_book_threads(tmp_path, monkeypatch, capsys):
     src = tmp_path / "books"
     src.mkdir()
     for i in range(6):
         _figure_book(src / f"book{i}.epub")
+    monkeypatch.setenv("ALTGEN_EPOCH", "0")
     with MockBackendServer() as server:
         server.script.respond = figure_captions()
         server.script.delay = 0.05
-        # a child process, so the server's threads are not forked into the workers
-        pooled = subprocess.run(
-            [sys.executable, "-m", "altgen", "repair", str(src), "-o", str(tmp_path / "two"),
-             "--jobs", "2", "--backend", server.url, "--report", "json"],
-            env=_env(), capture_output=True, text=True, timeout=TIMEOUT_S,
-        )
-        pooled_inflight = server.script.max_active
-        monkeypatch.setenv("ALTGEN_EPOCH", "0")
-        code = main(["repair", str(src), "-o", str(tmp_path / "one"), "--jobs", "1",
-                     "--backend", server.url])
+        threaded = _remote_repair(src, tmp_path / "two", server.url, 2)
+        threaded_inflight = server.script.max_active
+        code = _remote_repair(src, tmp_path / "one", server.url, 1)
     capsys.readouterr()
-    assert pooled.returncode == code == 0, pooled.stderr
-    assert pooled_inflight == DEFAULT_INFLIGHT_CAP
+    assert threaded == code == 0
+    assert threaded_inflight == DEFAULT_INFLIGHT_CAP
     two, one = _outputs(tmp_path / "two"), _outputs(tmp_path / "one")
     assert all(row["alts_written"] == 8 for row in one[REPORT_FILENAME]["files"])
     assert two == one
 
 
-def _die(item) -> None:
+def test_strict_book_threads_match_jobs_1(tmp_path, monkeypatch, capsys):
+    # one book's caption fails: --strict fails that book only, on any --jobs
+    src = tmp_path / "books"
+    src.mkdir()
+    _figure_book(src / "good.epub")
+    _figure_book(src / "bad.epub", range(8, 12))
+    monkeypatch.setenv("ALTGEN_EPOCH", "0")
+    with MockBackendServer() as server:
+        server.script.respond = figure_captions(failing=frozenset({9}))
+        threaded = _remote_repair(src, tmp_path / "two", server.url, 2, "--strict")
+        code = _remote_repair(src, tmp_path / "one", server.url, 1, "--strict")
+    capsys.readouterr()
+    assert threaded == code == 2
+    two, one = _outputs(tmp_path / "two"), _outputs(tmp_path / "one")
+    rows = {Path(row["input_path"]).name: row for row in one[REPORT_FILENAME]["files"]}
+    assert rows["good.epub"]["status"] == "Repaired"
+    assert rows["bad.epub"]["status"] == "Failed"
+    assert "--strict" in rows["bad.epub"]["reason"]
+    assert sorted(one) == [REPORT_FILENAME, "good.epub"]
+    assert two == one
+
+
+def _die(item, config=None) -> None:
     """A pool task whose worker process exits at once."""
     os._exit(3)
 
