@@ -206,7 +206,7 @@ def fit_to_length(text: str, max_length: int) -> str:
 def _svg_title(image_bytes: bytes) -> str | None:
     try:
         root = ET.fromstring(image_bytes)
-    except ET.ParseError:
+    except (ET.ParseError, LookupError, ValueError):  # or an encoding expat cannot read
         return None
     for elem in root.iter():
         if isinstance(elem.tag, str) and _localname(elem.tag) == "title":

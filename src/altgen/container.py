@@ -15,6 +15,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from xml.etree import ElementTree as ET
+from xml.parsers import expat
 
 from altgen.errors import AltgenError
 
@@ -231,13 +232,19 @@ def _localname(tag: str) -> str:
     return tag.rsplit(":", 1)[-1]
 
 
+def _unexpanded_entity(*args) -> int:
+    # ElementTree rejects an entity reference expat cannot expand: an
+    # undefined one under an external DTD, or an external one
+    raise expat.ExpatError("undefined or external entity")
+
+
 def _parse_container_xml(entries: list[ArchiveEntry]) -> str:
     container = next((e for e in entries if e.path == CONTAINER_XML_PATH), None)
     if container is None:
         raise MissingContainerXml(f"no {CONTAINER_XML_PATH} entry")
     try:
         root = ET.fromstring(container.data)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:  # or an encoding expat cannot read
         raise MalformedContainerXml(str(exc)) from exc
     for elem in root.iter():
         if _localname(elem.tag) == "rootfile":

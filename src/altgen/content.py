@@ -31,7 +31,7 @@ from html.parser import HTMLParser
 from xml.etree import ElementTree as ET
 from xml.parsers import expat
 
-from altgen.container import ArchiveEntry, _localname
+from altgen.container import ArchiveEntry, _localname, _unexpanded_entity
 from altgen.errors import AltgenError
 from altgen.package import MetaKind, PackageDocument, escape, resolve_href
 
@@ -119,12 +119,6 @@ def _expat_name(name: str) -> tuple[str, bool]:
     name, which is "uri}local" for a namespaced one."""
     tag = "{" + name if "}" in name else name
     return tag, _localname(tag) in _IMAGE_TAGS
-
-
-def _unexpanded_entity(*args) -> int:
-    # ElementTree rejects an entity reference expat cannot expand: an
-    # undefined one under an external DTD, or an external one
-    raise expat.ExpatError("undefined or external entity")
 
 
 def _parse_xml(data: bytes) -> _Document:

@@ -122,8 +122,9 @@ def enrich_metadata(
 
     When the metadata comes out equal, the package returned is pkg itself.
     Otherwise it is a new PackageDocument with its own metadata list, in
-    which each changed entry is a new MetaEntry; it shares every other part
-    with pkg, and pkg is not changed.
+    which each changed entry is a new MetaEntry that keeps the span of the
+    one it replaces, so serialize_opf writes its value in place; it shares
+    every other part with pkg, and pkg is not changed.
 
     detector is detect_language-shaped: text -> (lang, confidence), raising
     on failure. fallback_title is the filename stem used when dc:title is

@@ -1,9 +1,12 @@
-"""Parse and serialize OPF package documents.
+"""Parse OPF package documents, and splice metadata edits back into them.
 
-The model keeps everything a rewrite must not lose: Dublin Core entries,
-accessibility metas, unknown metadata verbatim, manifest/spine attributes,
-and EPUB 2 guide/tour elements as opaque XML. parse_opf(serialize_opf(doc))
-reproduces an equal model.
+The model holds what altgen reads: Dublin Core entries, accessibility
+metas, the text of the other metadata children, the manifest and the spine.
+It also keeps the OPF's bytes, where the one parse found <metadata> and each
+of its children in them, and the namespace prefixes in scope inside
+<metadata>. serialize_opf writes enrichment's edits into those bytes, so
+everything outside <metadata>, and every child it does not edit, keeps its
+bytes.
 """
 
 from __future__ import annotations
@@ -12,19 +15,16 @@ import posixpath
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 from urllib.parse import unquote, urlsplit
 from xml.etree import ElementTree as ET
+from xml.parsers import expat
 
-from altgen.container import ArchiveEntry, InvariantViolation, _localname
+from altgen.container import ArchiveEntry, InvariantViolation, _localname, _unexpanded_entity
 from altgen.errors import AltgenError
 
 OPF_NS = "http://www.idpf.org/2007/opf"
 DC_NS = "http://purl.org/dc/elements/1.1/"
-XML_NS = "http://www.w3.org/XML/1998/namespace"
-XLINK_NS = "http://www.w3.org/1999/xlink"
-
-_PREFIX_BY_URI = {OPF_NS: "opf", DC_NS: "dc", XML_NS: "xml", XLINK_NS: "xlink"}
-_URI_BY_PREFIX = {prefix: uri for uri, prefix in _PREFIX_BY_URI.items()}
 
 ACCESSIBILITY_PROPERTIES = frozenset(
     {
@@ -37,9 +37,6 @@ ACCESSIBILITY_PROPERTIES = frozenset(
 )
 
 XHTML_MEDIA_TYPES = frozenset({"application/xhtml+xml", "text/html"})
-
-# synthetic element name for metadata children preserved as opaque XML
-RAW_ENTRY = "#raw"
 
 
 class PackageError(AltgenError):
@@ -82,34 +79,37 @@ _DC_KINDS = {
 _DC_LOCAL_BY_KIND = {v: k for k, v in _DC_KINDS.items()}
 
 
+class Span(NamedTuple):
+    """Where parse_opf read a metadata entry in the OPF's bytes: the offset
+    of its start tag, the offset of its end tag (of the end of its tag, for
+    an empty element), and the value it read there."""
+
+    start: int
+    end: int
+    value: str
+
+
 @dataclass
 class MetaEntry:
     """One metadata child. `property` is the schema:* suffix for
-    SCHEMA_ACCESSIBILITY entries; `name` is the element name for OTHER
-    entries (RAW_ENTRY means `value` holds verbatim XML)."""
+    SCHEMA_ACCESSIBILITY entries. `span` is where parse_opf read the entry:
+    serialize_opf appends an entry without one, and writes the value of an
+    entry whose value is no longer the one read into its element."""
 
     kind: MetaKind
     value: str
     property: str | None = None
-    name: str | None = None
-    attrs: dict[str, str] = field(default_factory=dict)
+    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class ManifestItem:
-    """`href` is the resolved container path used for entry lookup;
-    `href_attr` is the verbatim attribute value re-emitted on serialization."""
+    """`href` is the container path the item's href attribute resolves to."""
 
     id: str
     href: str
     media_type: str
-    href_attr: str = ""
     properties: frozenset[str] = frozenset()
-    extra: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.href_attr:
-            self.href_attr = self.href
 
 
 @dataclass
@@ -119,14 +119,14 @@ class PackageDocument:
     spine: list[str] = field(default_factory=list)
     version: str = "3.0"
     unique_identifier: str | None = None
-    package_attrs: dict[str, str] = field(default_factory=dict)
-    metadata_attrs: dict[str, str] = field(default_factory=dict)
-    manifest_attrs: dict[str, str] = field(default_factory=dict)
-    spine_attrs: dict[str, str] = field(default_factory=dict)
-    # per-itemref attributes other than idref, parallel to `spine`
-    spine_extra: list[dict[str, str]] = field(default_factory=list)
-    # guide/tours/collection elements preserved verbatim, in document order
-    tail_xml: list[str] = field(default_factory=list)
+    # the OPF's bytes as read, the offsets of its <metadata> in them as a
+    # Span gives them, and the namespace URI each prefix is bound to inside
+    # it (None for the default namespace)
+    source: bytes = field(default=b"", compare=False, repr=False)
+    metadata_span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+    namespaces: dict[str | None, str | None] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def values(self, kind: MetaKind) -> list[str]:
         return [m.value for m in self.metadata if m.kind is kind]
@@ -143,12 +143,6 @@ class PackageDocument:
             for m in self.metadata
             if m.kind is MetaKind.SCHEMA_ACCESSIBILITY and m.property == property_name
         ]
-
-    def item_by_id(self, item_id: str) -> ManifestItem | None:
-        for item in self.manifest:
-            if item.id == item_id:
-                return item
-        return None
 
     def spine_items(self) -> list[ManifestItem]:
         by_id: dict[str, ManifestItem] = {}
@@ -192,27 +186,6 @@ def _split_tag(tag: str) -> tuple[str | None, str]:
     return None, tag
 
 
-def _attr_name(key: str) -> str:
-    """Normalize an ElementTree attribute key to prefix:local form."""
-    uri, local = _split_tag(key)
-    if uri is None:
-        return local
-    prefix = _PREFIX_BY_URI.get(uri)
-    if prefix:
-        return f"{prefix}:{local}"
-    return key  # raw {uri}local; serializer declares a namespace for it
-
-
-def _attrs_of(elem: ET.Element, skip: tuple[str, ...] = ()) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for key, value in elem.attrib.items():
-        name = _attr_name(key)
-        if name in skip:
-            continue
-        out[name] = value
-    return out
-
-
 def escape(text: str, quote: bool = False) -> str:
     """`&`, `<` and `>` as entities, and `"` too with `quote`: the output of
     xml.sax.saxutils.escape, whose module would load the HTTP stack."""
@@ -220,167 +193,95 @@ def escape(text: str, quote: bool = False) -> str:
     return text.replace('"', "&quot;") if quote else text
 
 
-def _esc_attr(value: str) -> str:
-    return escape(value, quote=True)
+def _et_name(name: str) -> str:
+    return "{" + name if "}" in name else name
 
 
-def serialize_fragment(elem: ET.Element) -> str:
-    """Serialize one element subtree as standalone XML (namespaces declared
-    at the fragment root). Output is stable under reparse+reserialize."""
-    elem_uris: set[str] = set()
-    attr_uris: set[str] = set()
+def _parse_xml(data: bytes) -> tuple[ET.Element, dict, dict]:
+    """The tree ET.fromstring(data) builds; the (start, end) offsets, as a
+    Span gives them, of every child and grandchild of its root; and the
+    namespaces the root and each of its children declare, by element.
+    Raises expat.ExpatError where ET.fromstring raises ParseError."""
+    builder = ET.TreeBuilder()
+    parser = expat.ParserCreate(None, "}")
+    parser.buffer_text = True
+    starts: list[int] = []
+    spans: dict[ET.Element, tuple[int, int]] = {}
+    declared: dict[ET.Element, dict[str | None, str | None]] = {}
+    pending: dict[str | None, str | None] = {}
 
-    def collect(e: ET.Element) -> None:
-        uri, _ = _split_tag(e.tag)
-        if uri:
-            elem_uris.add(uri)
-        for key in e.attrib:
-            u, _ = _split_tag(key)
-            if u:
-                attr_uris.add(u)
-        for child in e:
-            collect(child)
+    def start(name: str, attrs: dict[str, str]) -> None:
+        elem = builder.start(_et_name(name), {_et_name(k): v for k, v in attrs.items()})
+        if pending:
+            if len(starts) < 2:
+                declared[elem] = dict(pending)
+            pending.clear()
+        starts.append(parser.CurrentByteIndex)
 
-    collect(elem)
-    root_uri, _ = _split_tag(elem.tag)
-    # legacy consumers string-match <guide>/<reference>, so the root's own
-    # namespace becomes the default declaration instead of a prefix
-    default_uri = root_uri if root_uri == OPF_NS else None
-    prefixes: dict[str, str] = {}
-    decls: list[str] = []
-    if default_uri:
-        decls.append(f' xmlns="{default_uri}"')
-    auto = 0
-    for uri in sorted(elem_uris | attr_uris):
-        if uri == XML_NS:
-            prefixes[uri] = "xml"
-            continue
-        if uri == default_uri and uri not in attr_uris:
-            continue
-        prefix = _PREFIX_BY_URI.get(uri)
-        if prefix is None:
-            prefix = f"ns{auto}"
-            auto += 1
-        prefixes[uri] = prefix
-        decls.append(f' xmlns:{prefix}="{uri}"')
+    def end(name: str) -> None:
+        elem = builder.end(name)
+        start = starts.pop()
+        if 1 <= len(starts) <= 2:
+            spans[elem] = (start, parser.CurrentByteIndex)
 
-    def qname(tag: str, *, is_attr: bool = False) -> str:
-        uri, local = _split_tag(tag)
-        if uri is None:
-            return local
-        if uri == default_uri and not is_attr:
-            return local
-        return f"{prefixes[uri]}:{local}"
-
-    def emit(e: ET.Element, top: bool) -> str:
-        parts = ["<", qname(e.tag)]
-        if top:
-            parts.extend(decls)
-        for key, value in e.attrib.items():
-            parts.append(f' {qname(key, is_attr=True)}="{_esc_attr(value)}"')
-        children = list(e)
-        text = e.text or ""
-        if not children and not text:
-            parts.append("/>")
-            return "".join(parts)
-        parts.append(">")
-        parts.append(escape(text))
-        for child in children:
-            parts.append(emit(child, False))
-            parts.append(escape(child.tail or ""))
-        parts.append(f"</{qname(e.tag)}>")
-        return "".join(parts)
-
-    return emit(elem, True)
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = builder.data
+    parser.StartNamespaceDeclHandler = pending.__setitem__
+    parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = _unexpanded_entity
+    parser.Parse(data, True)
+    return builder.close(), spans, declared
 
 
 def parse_opf(entry: ArchiveEntry) -> PackageDocument:
     """Parse an OPF package document from an archive entry; manifest hrefs
     resolve against the entry's directory.
 
-    Raises MalformedXml, DuplicateManifestId, DuplicateManifestHref,
-    DanglingSpineRef.
+    Raises MalformedXml (also for an encoding expat cannot read),
+    DuplicateManifestId, DuplicateManifestHref, DanglingSpineRef.
     """
     try:
-        root = ET.fromstring(entry.data)
-    except ET.ParseError as exc:
+        root, spans, declared = _parse_xml(entry.data)
+    except (expat.ExpatError, LookupError, ValueError) as exc:
         raise MalformedXml(f"{entry.path}: {exc}") from exc
     if _localname(root.tag) != "package":
         raise MalformedXml(f"{entry.path}: root element is not <package>")
 
+    sections: dict[str, ET.Element] = {}
+    for child in root:
+        sections.setdefault(_localname(child.tag), child)
+    for name in ("metadata", "manifest", "spine"):
+        if name not in sections:
+            raise MalformedXml(f"{entry.path}: no <{name}> element")
+    metadata = sections["metadata"]
+
     doc = PackageDocument(
         version=root.get("version", ""),
         unique_identifier=root.get("unique-identifier"),
-        package_attrs=_attrs_of(root, skip=("version", "unique-identifier")),
+        source=entry.data,
+        metadata_span=spans[metadata],
+        namespaces={**declared.get(root, {}), **declared.get(metadata, {})},
     )
-
-    metadata_elem = manifest_elem = spine_elem = None
-    for child in root:
-        if not isinstance(child.tag, str):
-            continue
-        local = _localname(child.tag)
-        if local == "metadata" and metadata_elem is None:
-            metadata_elem = child
-        elif local == "manifest" and manifest_elem is None:
-            manifest_elem = child
-        elif local == "spine" and spine_elem is None:
-            spine_elem = child
-        else:
-            doc.tail_xml.append(serialize_fragment(child))
-    if metadata_elem is None:
-        raise MalformedXml(f"{entry.path}: no <metadata> element")
-    if manifest_elem is None:
-        raise MalformedXml(f"{entry.path}: no <manifest> element")
-    if spine_elem is None:
-        raise MalformedXml(f"{entry.path}: no <spine> element")
-
-    doc.metadata_attrs = _attrs_of(metadata_elem)
-    _parse_metadata(metadata_elem, doc)
-    doc.manifest_attrs = _attrs_of(manifest_elem)
-    _parse_manifest(manifest_elem, doc, entry.path)
-    doc.spine_attrs = _attrs_of(spine_elem)
-    _parse_spine(spine_elem, doc, entry.path)
+    _parse_metadata(metadata, spans, doc)
+    _parse_manifest(sections["manifest"], doc, entry.path)
+    _parse_spine(sections["spine"], doc, entry.path)
     return doc
 
 
-def _parse_metadata(metadata_elem: ET.Element, doc: PackageDocument) -> None:
+def _parse_metadata(metadata_elem: ET.Element, spans: dict, doc: PackageDocument) -> None:
     for child in metadata_elem:
-        if not isinstance(child.tag, str):
-            continue
         uri, local = _split_tag(child.tag)
         text = child.text or ""
+        kind, prop = MetaKind.OTHER, None
         if uri == DC_NS:
-            kind = _DC_KINDS.get(local)
-            if kind:
-                doc.metadata.append(MetaEntry(kind, text, attrs=_attrs_of(child)))
-            else:
-                doc.metadata.append(
-                    MetaEntry(MetaKind.OTHER, text, name=f"dc:{local}", attrs=_attrs_of(child))
-                )
+            kind = _DC_KINDS.get(local, MetaKind.OTHER)
         elif local == "meta" and uri in (None, OPF_NS) and len(child) == 0:
             prop = child.get("property", "")
             if prop.startswith("schema:") and prop[7:] in ACCESSIBILITY_PROPERTIES:
-                doc.metadata.append(
-                    MetaEntry(
-                        MetaKind.SCHEMA_ACCESSIBILITY,
-                        text,
-                        property=prop[7:],
-                        attrs=_attrs_of(child, skip=("property",)),
-                    )
-                )
+                kind, prop = MetaKind.SCHEMA_ACCESSIBILITY, prop[7:]
             else:
-                doc.metadata.append(
-                    MetaEntry(MetaKind.OTHER, text, name="meta", attrs=_attrs_of(child))
-                )
-        elif uri in (None, OPF_NS) and len(child) == 0:
-            doc.metadata.append(
-                MetaEntry(MetaKind.OTHER, text, name=local, attrs=_attrs_of(child))
-            )
-        else:
-            # foreign namespace or nested children: keep the whole subtree
-            doc.metadata.append(
-                MetaEntry(MetaKind.OTHER, serialize_fragment(child), name=RAW_ENTRY)
-            )
+                prop = None
+        doc.metadata.append(MetaEntry(kind, text, prop, Span(*spans[child], text)))
 
 
 def _parse_manifest(manifest_elem: ET.Element, doc: PackageDocument, opf_path: str) -> None:
@@ -388,7 +289,7 @@ def _parse_manifest(manifest_elem: ET.Element, doc: PackageDocument, opf_path: s
     seen_ids: set[str] = set()
     seen_hrefs: set[str] = set()
     for child in manifest_elem:
-        if not isinstance(child.tag, str) or _localname(child.tag) != "item":
+        if _localname(child.tag) != "item":
             continue
         item_id = child.get("id")
         href_attr = child.get("href")
@@ -402,23 +303,15 @@ def _parse_manifest(manifest_elem: ET.Element, doc: PackageDocument, opf_path: s
             raise DuplicateManifestHref(href)
         seen_hrefs.add(href)
         properties = frozenset(child.get("properties", "").split())
-        extra = _attrs_of(child, skip=("id", "href", "media-type", "properties"))
         doc.manifest.append(
-            ManifestItem(
-                id=item_id,
-                href=href,
-                media_type=child.get("media-type", ""),
-                href_attr=href_attr,
-                properties=properties,
-                extra=extra,
-            )
+            ManifestItem(item_id, href, child.get("media-type", ""), properties)
         )
 
 
 def _parse_spine(spine_elem: ET.Element, doc: PackageDocument, opf_path: str) -> None:
     ids = {item.id for item in doc.manifest}
     for child in spine_elem:
-        if not isinstance(child.tag, str) or _localname(child.tag) != "itemref":
+        if _localname(child.tag) != "itemref":
             continue
         idref = child.get("idref")
         if idref is None:
@@ -426,124 +319,88 @@ def _parse_spine(spine_elem: ET.Element, doc: PackageDocument, opf_path: str) ->
         if idref not in ids:
             raise DanglingSpineRef(idref)
         doc.spine.append(idref)
-        doc.spine_extra.append(_attrs_of(child, skip=("idref",)))
-
-
-def _attr_string(attrs: dict[str, str]) -> str:
-    parts: list[str] = []
-    auto: dict[str, str] = {}
-    for name, value in attrs.items():
-        if name.startswith("{"):
-            # attribute in an unknown namespace: declare a prefix inline
-            uri, local = _split_tag(name)
-            prefix = auto.get(uri)
-            if prefix is None:
-                prefix = f"ns{len(auto)}"
-                auto[uri] = prefix
-                parts.append(f' xmlns:{prefix}="{_esc_attr(uri)}"')
-            name = f"{prefix}:{local}"
-        parts.append(f' {name}="{_esc_attr(value)}"')
-    return "".join(parts)
-
-
-def _used_prefixes(doc: PackageDocument) -> set[str]:
-    found: set[str] = set()
-    dicts = [doc.package_attrs, doc.metadata_attrs, doc.manifest_attrs, doc.spine_attrs]
-    dicts.extend(m.attrs for m in doc.metadata)
-    dicts.extend(i.extra for i in doc.manifest)
-    dicts.extend(doc.spine_extra)
-    for d in dicts:
-        for name in d:
-            if ":" in name and not name.startswith("{"):
-                found.add(name.split(":", 1)[0])
-    return found
-
-
-def _check_serialize_invariants(doc: PackageDocument) -> None:
-    ids = [item.id for item in doc.manifest]
-    if len(ids) != len(set(ids)):
-        raise InvariantViolation("duplicate manifest ids")
-    hrefs = [item.href for item in doc.manifest]
-    if len(hrefs) != len(set(hrefs)):
-        raise InvariantViolation("duplicate manifest hrefs")
-    idset = set(ids)
-    for idref in doc.spine:
-        if idref not in idset:
-            raise InvariantViolation(f"spine idref {idref!r} has no manifest item")
-    if len(doc.spine_extra) not in (0, len(doc.spine)):
-        raise InvariantViolation("spine_extra length does not match spine")
-
-
-def _element(tag: str, attrs: dict[str, str], value: str) -> str:
-    if value:
-        return f"<{tag}{_attr_string(attrs)}>{escape(value)}</{tag}>"
-    return f"<{tag}{_attr_string(attrs)}/>"
 
 
 # a character XML 1.0 does not allow, even escaped
 _NON_XML_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def serialize_opf(doc: PackageDocument) -> bytes:
-    """Serialize a PackageDocument to OPF bytes.
-
-    Dublin Core elements use the dc: prefix; OPF elements use the default
-    namespace. Raises InvariantViolation for broken manifest/spine structure
-    and for a value holding a character XML does not allow, so what it
-    writes parses back.
-    """
-    _check_serialize_invariants(doc)
-    ns_decls = [f'xmlns="{OPF_NS}"', f'xmlns:dc="{DC_NS}"']
-    for prefix in sorted(_used_prefixes(doc) - {"dc", "xml"}):
-        uri = _URI_BY_PREFIX.get(prefix)
-        if uri:
-            ns_decls.append(f'xmlns:{prefix}="{uri}"')
-    package_attrs = dict(doc.package_attrs)
-    head = "<package " + " ".join(ns_decls)
-    if doc.version:
-        head += f' version="{_esc_attr(doc.version)}"'
-    if doc.unique_identifier is not None:
-        head += f' unique-identifier="{_esc_attr(doc.unique_identifier)}"'
-    head += _attr_string(package_attrs) + ">"
-
-    lines = ['<?xml version="1.0" encoding="utf-8"?>', head]
-    lines.append(f"  <metadata{_attr_string(doc.metadata_attrs)}>")
-    for entry in doc.metadata:
-        lines.append(f"    {_serialize_meta_entry(entry)}")
-    lines.append("  </metadata>")
-    lines.append(f"  <manifest{_attr_string(doc.manifest_attrs)}>")
-    for item in doc.manifest:
-        attrs = {"id": item.id, "href": item.href_attr, "media-type": item.media_type}
-        if item.properties:
-            attrs["properties"] = " ".join(sorted(item.properties))
-        attrs.update(item.extra)
-        lines.append(f"    <item{_attr_string(attrs)}/>")
-    lines.append("  </manifest>")
-    lines.append(f"  <spine{_attr_string(doc.spine_attrs)}>")
-    for i, idref in enumerate(doc.spine):
-        attrs = {"idref": idref}
-        if doc.spine_extra:
-            attrs.update(doc.spine_extra[i])
-        lines.append(f"    <itemref{_attr_string(attrs)}/>")
-    lines.append("  </spine>")
-    for fragment in doc.tail_xml:
-        lines.append(f"  {fragment}")
-    lines.append("</package>")
-    text = "\n".join(lines) + "\n"
-    bad = _NON_XML_CHAR_RE.search(text)
+def _escaped(value: str) -> str:
+    bad = _NON_XML_CHAR_RE.search(value)
     if bad is not None:
         raise InvariantViolation(f"character U+{ord(bad.group()):04X} cannot be written in XML")
-    return text.encode("utf-8")
+    return escape(value)
 
 
-def _serialize_meta_entry(entry: MetaEntry) -> str:
+def _new_element(entry: MetaEntry, namespaces: dict[str | None, str | None]) -> str:
+    """An entry as a new child of <metadata>: a DC element, or a <meta> in
+    the OPF namespace, under a prefix bound to its namespace there, or
+    declaring one on itself."""
     if entry.kind is MetaKind.SCHEMA_ACCESSIBILITY:
-        attrs = {"property": f"schema:{entry.property}"}
-        attrs.update(entry.attrs)
-        return _element("meta", attrs, entry.value)
-    if entry.kind is MetaKind.OTHER:
-        if entry.name == RAW_ENTRY:
-            return entry.value
-        return _element(entry.name or "meta", entry.attrs, entry.value)
-    local = _DC_LOCAL_BY_KIND[entry.kind]
-    return _element(f"dc:{local}", entry.attrs, entry.value)
+        uri, local, prefix = OPF_NS, "meta", None
+        attrs = f' property="schema:{escape(entry.property or "", quote=True)}"'
+    elif entry.kind in _DC_LOCAL_BY_KIND:
+        uri, local, prefix, attrs = DC_NS, _DC_LOCAL_BY_KIND[entry.kind], "dc", ""
+    else:
+        raise InvariantViolation(f"a new {entry.kind.value} entry cannot be written")
+    bound = [p for p, u in namespaces.items() if u == uri]
+    if bound:
+        prefix = bound[0]
+    else:
+        attrs = f' xmlns{":" + prefix if prefix else ""}="{uri}"{attrs}'
+    name = f"{prefix}:{local}" if prefix else local
+    return f"<{name}{attrs}>{_escaped(entry.value)}</{name}>"
+
+
+def serialize_opf(doc: PackageDocument) -> bytes:
+    """The OPF bytes parse_opf read, with the package's metadata edits
+    spliced in, in the OPF's own encoding.
+
+    An entry parse_opf did not read goes at the end of <metadata> (as
+    _new_element writes it), which is opened first when it is an empty
+    element. An entry whose value is no longer the one read gets the new
+    value as the whole content of its element. Nothing else changes. Raises
+    InvariantViolation for a value holding a character XML does not allow,
+    and for an OPF that content's encoding rule decodes to other text than
+    expat read (UTF-16 without a BOM), so what it writes parses back.
+    """
+    from altgen.content import _XML_START_TAG_RE, _decode  # content imports this module
+
+    text, codec, bom = _decode(doc.source)
+    if _NON_XML_CHAR_RE.search(text):  # expat read the bytes in another encoding
+        raise InvariantViolation(f"the OPF is not XML text in {codec}")
+
+    def element(span: tuple[int, ...]) -> tuple[int, int, str]:
+        # (first, last, end tag): the element's content is text[first:last];
+        # for an empty element that is its "/>", and the end tag is the one
+        # it needs once opened
+        start = len(doc.source[len(bom) : span[0]].decode(codec))
+        end = start + len(doc.source[span[0] : span[1]].decode(codec))
+        tag = _XML_START_TAG_RE.match(text, start)
+        if tag.end() == end and text.endswith("/>", start, end):
+            return end - 2, end, f"</{text[start + 1 : end - 2].split()[0]}>"
+        return tag.end(), end, ""
+
+    edits: list[tuple[int, int, str]] = []
+    for entry in doc.metadata:
+        if entry.span is not None and entry.value != entry.span.value:
+            first, last, end_tag = element(entry.span)
+            value = _escaped(entry.value)
+            edits.append((first, last, f">{value}{end_tag}" if end_tag else value))
+    added = [_new_element(e, doc.namespaces) for e in doc.metadata if e.span is None]
+    if added:
+        first, last, end_tag = element(doc.metadata_span)
+        if end_tag:
+            edits.append((first, last, ">" + "".join(added) + end_tag))
+        else:
+            content = text[first:last]
+            indent = content[len(content.rstrip(" \t\r\n")) :]  # before </metadata>
+            sep = indent + "  " if "\n" in indent else indent
+            at = last - len(indent)
+            edits.append((at, at, "".join(sep + e for e in added)))
+    out, pos = [], 0
+    for first, last, new in sorted(edits):
+        out += (text[pos:first], new)
+        pos = last
+    out.append(text[pos:])
+    return bom + "".join(out).encode(codec, "xmlcharrefreplace")

@@ -13,8 +13,9 @@ That re-parse is also the written document's integrity verdict and its part
 of the re-audit, which audits the repaired model (untouched documents as
 first parsed, the enriched package) rather than the written file.
 Enrichment returns a new package only when it changes one, and only then is
-the OPF serialized and written again. A document no alt can make
-well-formed XML fails its book before any caption request. Any AltgenError
+the OPF written again: its edits are spliced into the OPF's own bytes,
+inside <metadata>, and the rest of the OPF keeps its bytes. A document no
+alt can make well-formed XML fails its book before any caption request. Any AltgenError
 or OSError in any stage of a book, from reading its file to writing the
 repaired copy, gives that book one Failed row and never stops the batch; the
 row keeps what the stages before the failure found. Setting ALTGEN_EPOCH

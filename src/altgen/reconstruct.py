@@ -135,10 +135,11 @@ def rebuild(
     write.
 
     `modified_docs` holds every entry that differs from the archive's, the
-    OPF included: a caller that changed the package passes its serialized
-    OPF entry, since pkg is only the model the integrity check reads. Raises
-    IntegrityErrors when Error-severity findings exist or the OPF is
-    missing, KeyError for a modified entry whose path is not in the archive.
+    OPF included: a caller that changed the package passes the OPF entry
+    serialize_opf writes for it, since pkg is only the model the integrity
+    check reads. Raises IntegrityErrors when Error-severity findings exist
+    or the OPF is missing, KeyError for a modified entry whose path is not
+    in the archive.
     """
     result = archive.copy()
     for doc in modified_docs or ():

@@ -111,6 +111,14 @@ class TestStubCaption:
         alt = StubBackend().generate_alt(req)
         assert alt.alt_text == "Image: map. Harbour map."
 
+    @pytest.mark.parametrize("encoding", ["x-nope", "shift_jis"])
+    def test_svg_in_an_encoding_expat_cannot_read_has_no_title(self, encoding):
+        svg = epubgen.tiny_svg("Harbour map").replace(b"UTF-8", encoding.encode())
+        req = CaptionRequest(
+            image_bytes=svg, media_type="image/svg+xml", source_name="OEBPS/images/map.svg"
+        )
+        assert StubBackend().generate_alt(req).alt_text == "Image: map."
+
     def test_honors_max_length(self):
         req = png_request(
             max_length=20,

@@ -112,6 +112,14 @@ def test_container_xml_malformed_rejected():
         open_epub(data)
 
 
+@pytest.mark.parametrize("encoding", ["x-nope", "shift_jis"])
+def test_container_xml_in_an_encoding_expat_cannot_read_rejected(encoding):
+    xml = epubgen.container_xml().replace(b"UTF-8", encoding.encode())
+    data = epubgen.build_zip([("META-INF/container.xml", xml)])
+    with pytest.raises(MalformedContainerXml, match="encoding"):
+        open_epub(data)
+
+
 def test_container_xml_without_rootfile_rejected():
     xml = (
         b'<?xml version="1.0"?><container '
