@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
-from altgen.container import _localname
+from altgen.container import Undecodable, _localname, decode_xml
 from altgen.content import ContextBundle, normalize_ws
 from altgen.errors import AltgenError
 from altgen.metrics import EMBED_CHUNK_PAIRS, LengthMismatch, tokenize
@@ -205,8 +205,8 @@ def fit_to_length(text: str, max_length: int) -> str:
 
 def _svg_title(image_bytes: bytes) -> str | None:
     try:
-        root = ET.fromstring(image_bytes)
-    except (ET.ParseError, LookupError, ValueError):  # or an encoding expat cannot read
+        root = ET.fromstring(decode_xml(image_bytes)[0])
+    except (Undecodable, ET.ParseError):
         return None
     for elem in root.iter():
         if isinstance(elem.tag, str) and _localname(elem.tag) == "title":

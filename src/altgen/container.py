@@ -8,7 +8,9 @@ compressed byte streams are regenerated on write.
 
 from __future__ import annotations
 
+import codecs
 import io
+import re
 import struct
 import zipfile
 import zlib
@@ -64,6 +66,10 @@ class MalformedContainerXml(ContainerError):
 
 class InvariantViolation(ContainerError):
     """Archive handed to write_epub breaks an OCF structural invariant."""
+
+
+class Undecodable(AltgenError):
+    """XML bytes that the codec decode_xml picks for them cannot decode."""
 
 
 class Compression(Enum):
@@ -238,13 +244,55 @@ def _unexpanded_entity(*args) -> int:
     raise expat.ExpatError("undefined or external entity")
 
 
+_ENCODING_RE = re.compile(
+    rb'<\?xml\s[^>]*encoding\s*=\s*["\']([A-Za-z0-9._-]+)["\']', re.DOTALL
+)
+_CHARSET_RE = re.compile(rb'charset\s*=\s*["\']?([A-Za-z0-9._-]+)', re.IGNORECASE)
+# what XML bytes start with, the codec that says, and the length of the BOM
+_STARTS = (
+    (codecs.BOM_UTF8, "utf-8", 3),
+    (codecs.BOM_UTF16_LE, "utf-16-le", 2),
+    (codecs.BOM_UTF16_BE, "utf-16-be", 2),
+    # XML 1.0 Appendix F: UTF-16 without a BOM, by its first character
+    (b"<\0", "utf-16-le", 0),
+    (b"\0<", "utf-16-be", 0),
+)
+
+# a whole well-formed start tag, matched where a strict parse says one begins
+XML_START_TAG_RE = re.compile(r"""<[^\s/>]+(?:\s+[^\s=/>]+\s*=\s*(?:"[^"]*"|'[^']*'))*\s*/?>""")
+
+
+def decode_xml(data: bytes, meta: bool = False) -> tuple[str, str, bytes]:
+    """(text, codec, bom) of XML bytes, by XML 1.0's rule (section 4.3.3 and
+    Appendix F): the BOM wins, then UTF-16 known by its first character,
+    then the XML declaration, then UTF-8. With `meta`, for tag soup, a meta
+    charset comes before UTF-8. `bom + text.encode(codec)` gives the input
+    back. Every strict parse reads this text, and expat reads a str as UTF-8
+    whatever its XML declaration says. Raises Undecodable."""
+    for start, codec, n in _STARTS:
+        if data.startswith(start):
+            bom = start[:n]
+            break
+    else:
+        head = data[:1024]
+        match = _ENCODING_RE.search(head) or (meta and _CHARSET_RE.search(head))
+        bom, codec = b"", match.group(1).decode("ascii") if match else "utf-8"
+    try:
+        text = data[len(bom) :].decode(codec)
+        if not text.isascii():
+            text.encode("utf-8")  # UTF-7 and escape codecs can give lone surrogates
+    except (UnicodeError, LookupError) as exc:
+        raise Undecodable(str(exc)) from exc
+    return text, codec, bom
+
+
 def _parse_container_xml(entries: list[ArchiveEntry]) -> str:
     container = next((e for e in entries if e.path == CONTAINER_XML_PATH), None)
     if container is None:
         raise MissingContainerXml(f"no {CONTAINER_XML_PATH} entry")
     try:
-        root = ET.fromstring(container.data)
-    except (ET.ParseError, LookupError, ValueError) as exc:  # or an encoding expat cannot read
+        root = ET.fromstring(decode_xml(container.data)[0])
+    except (Undecodable, ET.ParseError) as exc:
         raise MalformedContainerXml(str(exc)) from exc
     for elem in root.iter():
         if _localname(elem.tag) == "rootfile":

@@ -1,12 +1,14 @@
 """Locate images in XHTML content documents, pull surrounding context, and
 splice alt attributes back in without disturbing the rest of the file.
 
-One parse locates every image. Strict XML goes through expat into the tree
-ElementTree would build, and each image's start tag is located by the byte
-offset expat reports for it; tag soup goes through html.parser, which gives
-each image's start tag as it reads it. There is no second scan of the
-source: alt writes splice the source text (not a re-serialized DOM) at the
-start tags that parse located, so untouched markup keeps its bytes.
+One parse locates every image, in the text container.decode_xml gives for
+the bytes. Strict XML goes through expat into the tree ElementTree would
+build, and each image's start tag is located by the offset expat reports
+for it; tag soup goes through html.parser, which gives each image's start
+tag as it reads it. There is no second scan of the source: alt writes
+splice that text (not a re-serialized DOM) at the start tags the parse
+located and encode it in the codec it was decoded with, so untouched markup
+keeps its bytes.
 
 Repair handles a document in a single pass (ContentDocument): it is decoded
 and parsed once, every target's context comes from one tree walk, every alt
@@ -23,7 +25,6 @@ ContentDocument and VisibleText.
 from __future__ import annotations
 
 import bisect
-import codecs
 import functools
 import re
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ from html.parser import HTMLParser
 from xml.etree import ElementTree as ET
 from xml.parsers import expat
 
-from altgen.container import ArchiveEntry, _localname, _unexpanded_entity
+from altgen.container import XML_START_TAG_RE, ArchiveEntry, Undecodable, decode_xml
+from altgen.container import _localname, _unexpanded_entity
 from altgen.errors import AltgenError
 from altgen.package import MetaKind, PackageDocument, escape, resolve_href
 
@@ -101,16 +103,19 @@ _VOID_TAGS = frozenset(
 class _Document(ET.Element):
     """The synthetic '#document' wrapper parse_document returns, with its
     image elements in document order (`images`) and where each one's start
-    tag is in the source. A strict parse gives `starts`, the byte offset of
-    each start tag's '<' (for an image from an entity's replacement text, the
-    offset of the entity reference). A lenient parse gives `spans`, each
-    start tag's (first, last) character offsets in the decoded text."""
+    tag is in the source. A strict parse gives `starts`, the offset of each
+    start tag's '<' in the UTF-8 of the parsed text (for an image from an
+    entity's replacement text, the offset of the entity reference). A
+    lenient parse gives `spans`, each start tag's (first, last) character
+    offsets in the text. `decoded` is the (text, codec, bom) decode_xml
+    gave for the parse."""
 
     def __init__(self, images: list[ET.Element], starts=None, spans=None) -> None:
         super().__init__("#document")
         self.images = images
         self.starts: list[int] | None = starts
         self.spans: list[tuple[int, int]] | None = spans
+        self.decoded: tuple[str, str, bytes] = ("", "utf-8", b"")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -121,8 +126,8 @@ def _expat_name(name: str) -> tuple[str, bool]:
     return tag, _localname(tag) in _IMAGE_TAGS
 
 
-def _parse_xml(data: bytes) -> _Document:
-    """The tree ET.fromstring(data) builds, under a _Document. Raises
+def _parse_xml(text: str) -> _Document:
+    """The tree ET.fromstring(text) builds, under a _Document. Raises
     expat.ExpatError where ET.fromstring raises ParseError."""
     builder = ET.TreeBuilder()
     parser = expat.ParserCreate(None, "}")
@@ -143,7 +148,7 @@ def _parse_xml(data: bytes) -> _Document:
     parser.EndElementHandler = builder.end
     parser.CharacterDataHandler = builder.data
     parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = _unexpanded_entity
-    parser.Parse(data, True)
+    parser.Parse(text, True)
     document = _Document(images, starts=starts)
     document.append(builder.close())
     return document
@@ -199,73 +204,35 @@ class _LenientBuilder(HTMLParser):
             current.text = (current.text or "") + data
 
 
-_ENCODING_RE = re.compile(
-    rb'<\?xml[^>]*encoding\s*=\s*["\']([A-Za-z0-9._-]+)["\']', re.DOTALL
-)
-_CHARSET_RE = re.compile(rb'charset\s*=\s*["\']?([A-Za-z0-9._-]+)', re.IGNORECASE)
-_BOMS = (
-    (codecs.BOM_UTF8, "utf-8"),
-    (codecs.BOM_UTF16_LE, "utf-16-le"),
-    (codecs.BOM_UTF16_BE, "utf-16-be"),
-)
-
-
-def _decode(data: bytes) -> tuple[str, str, bytes]:
-    """(text, codec, bom): the BOM wins, then the XML declaration, then a
-    meta charset, then UTF-8. `bom + text.encode(codec)` gives the input
-    back. Raises UnparseableDocument."""
-    for bom, codec in _BOMS:
-        if data.startswith(bom):
-            break
-    else:
-        head = data[:1024]
-        match = _ENCODING_RE.search(head) or _CHARSET_RE.search(head)
-        bom, codec = b"", match.group(1).decode("ascii", "replace") if match else "utf-8"
-    try:
-        return data[len(bom) :].decode(codec), codec, bom
-    except (UnicodeDecodeError, LookupError) as exc:
-        raise UnparseableDocument(str(exc)) from exc
-
-
-def decode_document(data: bytes) -> str:
-    """Decode content-document bytes using BOM, XML declaration, or meta
-    charset, defaulting to UTF-8. Raises UnparseableDocument on failure."""
-    return _decode(data)[0]
-
-
-# what a strict parse raises for bytes that are not well-formed XML, or in
-# an encoding expat cannot read
-_NOT_STRICT_XML = (expat.ExpatError, LookupError, ValueError)
-
-
 def is_well_formed(data: bytes) -> bool:
     """Whether `data` is well-formed XML, by the strict parse
     parse_document tries first."""
     try:
-        _parse_xml(data)
-    except _NOT_STRICT_XML:
+        _parse_xml(decode_xml(data)[0])
+    except (Undecodable, expat.ExpatError):
         return False
     return True
 
 
-def parse_document(data: bytes, text: str | None = None) -> _Document:
-    """Parse strict XML, falling back to lenient HTML. Returns a synthetic
-    '#document' wrapper element, which also lists the image elements and
-    locates their start tags (_Document). `text` is `data` already decoded,
-    when the caller has it. Raises UnparseableDocument."""
-    if text is None:
-        text = decode_document(data)
+def parse_document(data: bytes) -> _Document:
+    """Parse strict XML, falling back to lenient HTML, whose text a meta
+    charset may decode. Returns a synthetic '#document' wrapper element,
+    which also lists the image elements, locates their start tags and holds
+    the decoded text (_Document). Raises UnparseableDocument."""
     try:
-        return _parse_xml(data)
-    except _NOT_STRICT_XML:
-        pass
-    builder = _LenientBuilder(text)
-    try:
-        builder.feed(text)
-        builder.close()
-    except Exception as exc:  # HTMLParser rarely raises, but never crash here
-        raise UnparseableDocument(str(exc)) from exc
-    return builder.root
+        decoded = decode_xml(data)
+        root = _parse_xml(decoded[0])
+    except (Undecodable, expat.ExpatError):
+        try:
+            decoded = decode_xml(data, meta=True)
+            builder = _LenientBuilder(decoded[0])
+            builder.feed(decoded[0])
+            builder.close()
+        except Exception as exc:  # Undecodable; HTMLParser rarely raises, but never crash
+            raise UnparseableDocument(str(exc)) from exc
+        root = builder.root
+    root.decoded = decoded
+    return root
 
 
 def _occurrences(root: _Document, doc_path: str) -> list[ImageOccurrence]:
@@ -551,8 +518,6 @@ def document_text(doc: ArchiveEntry, limit: int | None = None) -> str:
 
 _TAG_NAME_RE = re.compile(r"<([A-Za-z][^\s/>]*)")
 _ATTR_RE = re.compile(r"""([^\s=/>"']+)(\s*=\s*("[^"]*"|'[^']*'|[^\s>]*))?""")
-# a whole well-formed start tag, matched where the strict parse says one begins
-_XML_START_TAG_RE = re.compile(r"""<[^\s/>]+(?:\s+[^\s=/>]+\s*=\s*(?:"[^"]*"|'[^']*'))*\s*/?>""")
 
 
 def _alt_tag_body(text: str, tag_start: int, tag_end: int, alt: str) -> tuple[int, int, str]:
@@ -593,8 +558,8 @@ class ContentDocument:
     def __init__(self, doc: ArchiveEntry, doc_path: str | None = None) -> None:
         self.doc = doc
         self.doc_path = doc.path if doc_path is None else doc_path
-        self._text, self._codec, self._bom = _decode(doc.data)
-        root = parse_document(doc.data, self._text)
+        root = parse_document(doc.data)
+        self._text, self._codec, self._bom = root.decoded
         self._root: _Document | None = root
         self._starts, self._spans = root.starts, root.spans
         self.images = _occurrences(root, self.doc_path)
@@ -626,14 +591,12 @@ class ContentDocument:
         no start tag of its own in the source."""
         if self._spans is not None:
             return [self._spans[i] for i in indices]
-        spans, at, pos = [], len(self._bom), 0
+        utf8 = self._text.encode("utf-8")
+        spans, at, pos = [], 0, 0
         for i in indices:
-            # "replace": a codec other than the one expat read the bytes with
-            # gives wrong offsets, not an error; the match below and the
-            # re-parse in splice stop those
-            pos += len(self.doc.data[at : self._starts[i]].decode(self._codec, "replace"))
+            pos += len(utf8[at : self._starts[i]].decode("utf-8"))
             at = self._starts[i]
-            match = _XML_START_TAG_RE.match(self._text, pos)
+            match = XML_START_TAG_RE.match(self._text, pos)
             if match is None:
                 raise DocumentError(f"{self.doc_path}: image index {i} has no start tag")
             spans.append((pos, match.end() - 1))

@@ -2,11 +2,11 @@
 
 The model holds what altgen reads: Dublin Core entries, accessibility
 metas, the text of the other metadata children, the manifest and the spine.
-It also keeps the OPF's bytes, where the one parse found <metadata> and each
-of its children in them, and the namespace prefixes in scope inside
-<metadata>. serialize_opf writes enrichment's edits into those bytes, so
-everything outside <metadata>, and every child it does not edit, keeps its
-bytes.
+It also keeps the OPF's bytes, where the one parse of their decoded text
+found <metadata> and each of its children, and the namespace prefixes in
+scope inside <metadata>. serialize_opf writes enrichment's edits into that
+text, in the OPF's own codec, so everything outside <metadata>, and every
+child it does not edit, keeps its bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from urllib.parse import unquote, urlsplit
 from xml.etree import ElementTree as ET
 from xml.parsers import expat
 
-from altgen.container import ArchiveEntry, InvariantViolation, _localname, _unexpanded_entity
+from altgen.container import XML_START_TAG_RE, ArchiveEntry, InvariantViolation, Undecodable
+from altgen.container import _localname, _unexpanded_entity, decode_xml
 from altgen.errors import AltgenError
 
 OPF_NS = "http://www.idpf.org/2007/opf"
@@ -80,9 +81,10 @@ _DC_LOCAL_BY_KIND = {v: k for k, v in _DC_KINDS.items()}
 
 
 class Span(NamedTuple):
-    """Where parse_opf read a metadata entry in the OPF's bytes: the offset
-    of its start tag, the offset of its end tag (of the end of its tag, for
-    an empty element), and the value it read there."""
+    """Where parse_opf read a metadata entry, in the UTF-8 of the text
+    decode_xml gives for the OPF's bytes: the offset of its start tag, the
+    offset of its end tag (of the end of its tag, for an empty element),
+    and the value it read there."""
 
     start: int
     end: int
@@ -109,7 +111,6 @@ class ManifestItem:
     id: str
     href: str
     media_type: str
-    properties: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -117,11 +118,9 @@ class PackageDocument:
     metadata: list[MetaEntry] = field(default_factory=list)
     manifest: list[ManifestItem] = field(default_factory=list)
     spine: list[str] = field(default_factory=list)
-    version: str = "3.0"
-    unique_identifier: str | None = None
-    # the OPF's bytes as read, the offsets of its <metadata> in them as a
-    # Span gives them, and the namespace URI each prefix is bound to inside
-    # it (None for the default namespace)
+    # the OPF's bytes as read, the offsets of its <metadata> as a Span gives
+    # them, and the namespace URI each prefix is bound to inside it (None
+    # for the default namespace)
     source: bytes = field(default=b"", compare=False, repr=False)
     metadata_span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
     namespaces: dict[str | None, str | None] = field(
@@ -197,8 +196,8 @@ def _et_name(name: str) -> str:
     return "{" + name if "}" in name else name
 
 
-def _parse_xml(data: bytes) -> tuple[ET.Element, dict, dict]:
-    """The tree ET.fromstring(data) builds; the (start, end) offsets, as a
+def _parse_xml(text: str) -> tuple[ET.Element, dict, dict]:
+    """The tree ET.fromstring(text) builds; the (start, end) offsets, as a
     Span gives them, of every child and grandchild of its root; and the
     namespaces the root and each of its children declare, by element.
     Raises expat.ExpatError where ET.fromstring raises ParseError."""
@@ -229,7 +228,7 @@ def _parse_xml(data: bytes) -> tuple[ET.Element, dict, dict]:
     parser.CharacterDataHandler = builder.data
     parser.StartNamespaceDeclHandler = pending.__setitem__
     parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = _unexpanded_entity
-    parser.Parse(data, True)
+    parser.Parse(text, True)
     return builder.close(), spans, declared
 
 
@@ -237,12 +236,12 @@ def parse_opf(entry: ArchiveEntry) -> PackageDocument:
     """Parse an OPF package document from an archive entry; manifest hrefs
     resolve against the entry's directory.
 
-    Raises MalformedXml (also for an encoding expat cannot read),
+    Raises MalformedXml (also for bytes decode_xml cannot decode),
     DuplicateManifestId, DuplicateManifestHref, DanglingSpineRef.
     """
     try:
-        root, spans, declared = _parse_xml(entry.data)
-    except (expat.ExpatError, LookupError, ValueError) as exc:
+        root, spans, declared = _parse_xml(decode_xml(entry.data)[0])
+    except (Undecodable, expat.ExpatError) as exc:
         raise MalformedXml(f"{entry.path}: {exc}") from exc
     if _localname(root.tag) != "package":
         raise MalformedXml(f"{entry.path}: root element is not <package>")
@@ -256,8 +255,6 @@ def parse_opf(entry: ArchiveEntry) -> PackageDocument:
     metadata = sections["metadata"]
 
     doc = PackageDocument(
-        version=root.get("version", ""),
-        unique_identifier=root.get("unique-identifier"),
         source=entry.data,
         metadata_span=spans[metadata],
         namespaces={**declared.get(root, {}), **declared.get(metadata, {})},
@@ -302,10 +299,7 @@ def _parse_manifest(manifest_elem: ET.Element, doc: PackageDocument, opf_path: s
         if href in seen_hrefs:
             raise DuplicateManifestHref(href)
         seen_hrefs.add(href)
-        properties = frozenset(child.get("properties", "").split())
-        doc.manifest.append(
-            ManifestItem(item_id, href, child.get("media-type", ""), properties)
-        )
+        doc.manifest.append(ManifestItem(item_id, href, child.get("media-type", "")))
 
 
 def _parse_spine(spine_elem: ET.Element, doc: PackageDocument, opf_path: str) -> None:
@@ -360,23 +354,18 @@ def serialize_opf(doc: PackageDocument) -> bytes:
     _new_element writes it), which is opened first when it is an empty
     element. An entry whose value is no longer the one read gets the new
     value as the whole content of its element. Nothing else changes. Raises
-    InvariantViolation for a value holding a character XML does not allow,
-    and for an OPF that content's encoding rule decodes to other text than
-    expat read (UTF-16 without a BOM), so what it writes parses back.
+    InvariantViolation for a value holding a character XML does not allow.
     """
-    from altgen.content import _XML_START_TAG_RE, _decode  # content imports this module
-
-    text, codec, bom = _decode(doc.source)
-    if _NON_XML_CHAR_RE.search(text):  # expat read the bytes in another encoding
-        raise InvariantViolation(f"the OPF is not XML text in {codec}")
+    text, codec, bom = decode_xml(doc.source)
+    utf8 = text.encode("utf-8")
 
     def element(span: tuple[int, ...]) -> tuple[int, int, str]:
         # (first, last, end tag): the element's content is text[first:last];
         # for an empty element that is its "/>", and the end tag is the one
         # it needs once opened
-        start = len(doc.source[len(bom) : span[0]].decode(codec))
-        end = start + len(doc.source[span[0] : span[1]].decode(codec))
-        tag = _XML_START_TAG_RE.match(text, start)
+        start = len(utf8[: span[0]].decode("utf-8"))
+        end = start + len(utf8[span[0] : span[1]].decode("utf-8"))
+        tag = XML_START_TAG_RE.match(text, start)
         if tag.end() == end and text.endswith("/>", start, end):
             return end - 2, end, f"</{text[start + 1 : end - 2].split()[0]}>"
         return tag.end(), end, ""

@@ -64,9 +64,6 @@ class IntegrityFinding:
     severity: FindingSeverity
     path: str
 
-    def to_dict(self) -> dict:
-        return {"code": self.code.value, "severity": self.severity.value, "path": self.path}
-
 
 def finding(code: FindingCode, path: str) -> IntegrityFinding:
     return IntegrityFinding(code, _SEVERITY_BY_CODE[code], path)

@@ -111,13 +111,23 @@ class TestStubCaption:
         alt = StubBackend().generate_alt(req)
         assert alt.alt_text == "Image: map. Harbour map."
 
-    @pytest.mark.parametrize("encoding", ["x-nope", "shift_jis"])
+    @pytest.mark.parametrize("encoding", ["x-nope"])
     def test_svg_in_an_encoding_expat_cannot_read_has_no_title(self, encoding):
         svg = epubgen.tiny_svg("Harbour map").replace(b"UTF-8", encoding.encode())
         req = CaptionRequest(
             image_bytes=svg, media_type="image/svg+xml", source_name="OEBPS/images/map.svg"
         )
         assert StubBackend().generate_alt(req).alt_text == "Image: map."
+
+    @pytest.mark.parametrize("encoding", ["shift_jis", "euc-jp", "gbk"])
+    def test_svg_in_a_multibyte_encoding_has_its_title(self, encoding):
+        svg = epubgen.tiny_svg("港の地図").decode("utf-8").replace("UTF-8", encoding)
+        req = CaptionRequest(
+            image_bytes=svg.encode(encoding),
+            media_type="image/svg+xml",
+            source_name="OEBPS/images/map.svg",
+        )
+        assert StubBackend().generate_alt(req).alt_text == "Image: map. 港の地図."
 
     def test_honors_max_length(self):
         req = png_request(

@@ -112,12 +112,19 @@ def test_container_xml_malformed_rejected():
         open_epub(data)
 
 
-@pytest.mark.parametrize("encoding", ["x-nope", "shift_jis"])
+@pytest.mark.parametrize("encoding", ["x-nope"])
 def test_container_xml_in_an_encoding_expat_cannot_read_rejected(encoding):
     xml = epubgen.container_xml().replace(b"UTF-8", encoding.encode())
     data = epubgen.build_zip([("META-INF/container.xml", xml)])
     with pytest.raises(MalformedContainerXml, match="encoding"):
         open_epub(data)
+
+
+@pytest.mark.parametrize("encoding", ["shift_jis", "euc-jp", "gbk"])
+def test_container_xml_in_a_multibyte_encoding_read(encoding):
+    text = epubgen.container_xml("本/content.opf").decode("utf-8").replace("UTF-8", encoding)
+    data = epubgen.build_zip([("META-INF/container.xml", text.encode(encoding))])
+    assert open_epub(data).rootfile_path == "本/content.opf"
 
 
 def test_container_xml_without_rootfile_rejected():

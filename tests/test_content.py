@@ -5,7 +5,7 @@ import codecs
 import pytest
 
 import epubgen
-from altgen.container import ArchiveEntry
+from altgen.container import ArchiveEntry, Undecodable, decode_xml
 from altgen.content import (
     ContentDocument,
     ContextBundle,
@@ -13,7 +13,6 @@ from altgen.content import (
     RewriteFailed,
     StaleOccurrence,
     UnparseableDocument,
-    decode_document,
     document_text,
     extract_context,
     find_images,
@@ -125,17 +124,30 @@ class TestFindImages:
 class TestDecode:
     def test_bom_stripped(self):
         data = codecs.BOM_UTF8 + b"<html/>"
-        assert decode_document(data) == "<html/>"
+        assert decode_xml(data) == ("<html/>", "utf-8", codecs.BOM_UTF8)
 
     def test_latin1_declared(self):
         data = '<?xml version="1.0" encoding="iso-8859-1"?><p>caf\xe9</p>'.encode(
             "latin-1"
         )
-        assert "café" in decode_document(data)
+        assert "café" in decode_xml(data)[0]
 
     def test_meta_charset(self):
         data = b'<html><head><meta charset="latin-1"/></head><body>caf\xe9</body></html>'
-        assert "café" in decode_document(data)
+        assert "café" in decode_xml(data, meta=True)[0]
+
+    def test_stylesheet_pi_is_no_declaration(self):
+        data = '<?xml-stylesheet href="a.css" encoding="iso-8859-1"?><p>日本</p>'.encode()
+        assert decode_xml(data) == (data.decode("utf-8"), "utf-8", b"")
+
+    def test_lone_surrogate_is_undecodable(self):
+        # UTF-7 spells half a surrogate pair, which no XML text holds and
+        # expat, which reads a str as UTF-8, cannot take
+        data = b'<?xml version="1.0" encoding="utf-7"?><p>+2D0-</p>'
+        with pytest.raises(Undecodable, match="surrogate"):
+            decode_xml(data)
+        with pytest.raises(UnparseableDocument):
+            parse_document(data)
 
 
 class TestExtractContext:

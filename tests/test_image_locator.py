@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import content_oracles
 import epubgen
 from altgen import content
-from altgen.container import ArchiveEntry
+from altgen.container import ArchiveEntry, Undecodable, decode_xml
 from altgen.content import ContentDocument, parse_document
 from altgen.errors import AltgenError
 
@@ -136,7 +136,7 @@ def xml_documents(draw) -> bytes:
     return bom + source.replace('encoding="{}"', f'encoding="{name}"').encode(codec)
 
 
-def _reference(data: bytes) -> ET.Element | None:
+def _reference(data: bytes | str) -> ET.Element | None:
     try:
         return ET.fromstring(data)
     except ET.ParseError:
@@ -146,9 +146,13 @@ def _reference(data: bytes) -> ET.Element | None:
 @settings(max_examples=400, deadline=None)
 @given(data=xml_documents())
 def test_strict_parse_builds_elementtrees_tree(data):
-    expected = _reference(data)
     try:
-        document = content._parse_xml(data)
+        text = decode_xml(data)[0]
+    except Undecodable:  # a junk character cut the encoding's name
+        return
+    expected = _reference(text)
+    try:
+        document = content._parse_xml(text)
     except expat.ExpatError:
         assert expected is None
         return
@@ -189,12 +193,13 @@ def test_strict_parse_builds_elementtrees_tree(data):
 def test_edge_documents_as_elementtree_takes_them(prolog, body, accepted):
     data = f'{prolog}<html xmlns="{XHTML}"><body>{body}</body></html>'.encode("latin-1")
     assert (_reference(data) is not None) is accepted
+    text = decode_xml(data)[0]
     if accepted:
-        document = content._parse_xml(data)
+        document = content._parse_xml(text)
         assert _shape(document[0]) == _shape(_reference(data))
     else:
         with pytest.raises(expat.ExpatError):
-            content._parse_xml(data)
+            content._parse_xml(text)
         assert parse_document(data).starts is None  # the lenient parse took it
 
 

@@ -184,12 +184,14 @@ class TestSplice:
         with pytest.raises(InvariantViolation, match="cannot be written in XML"):
             enrich(raw, language="e\x01n")
 
-    def test_utf16_without_bom_is_refused(self):
+    def test_utf16_without_bom_is_spliced(self):
         raw = opf(f"<metadata>{ACCESS}</metadata>").decode().replace("UTF-8", "UTF-16")
         pkg = parse_opf(ArchiveEntry(OPF_PATH, raw.encode("utf-16-le")))
-        pkg.metadata.append(MetaEntry(MetaKind.DC_TITLE, "T"))
-        with pytest.raises(InvariantViolation, match="not XML text"):
-            serialize_opf(pkg)
+        pkg.metadata.append(MetaEntry(MetaKind.DC_TITLE, "Café"))
+        out = serialize_opf(pkg)
+        title = f'<dc:title xmlns:dc="{DC_NS}">Café</dc:title>'
+        assert out.decode("utf-16-le") == raw.replace("</metadata>", title + "</metadata>")
+        assert parse_opf(ArchiveEntry(OPF_PATH, out)) == pkg
 
 
 # generated OPFs: where dc is bound, EPUB 2 attributes, foreign prefixes,

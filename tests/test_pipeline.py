@@ -52,6 +52,13 @@ def defective_kwargs() -> dict:
     )
 
 
+# a chapter with no XML declaration that names its encoding in a meta
+_META_PAGE = (
+    '<html xmlns="http://www.w3.org/1999/xhtml"><head>'
+    '<meta charset="iso-8859-1"/><title>Page</title></head><body>{}</body></html>'
+)
+
+
 class _FailingBackend(StubBackend):
     """Fails every caption, or with `names` those of the images named."""
 
@@ -391,12 +398,48 @@ class TestRunRepair:
         chapter = b"<html><body><p title='x>text</p><img src=\"images/a.png\"></body></html>"
         self._assert_isolated(*self._batch_with(tmp_path, chapter), "MalformedModifiedDoc")
 
-    def test_multibyte_declared_encoding_fails_only_its_book(self, tmp_path):
-        # expat reads no multi-byte encoding but UTF-8 and UTF-16: the chapter
-        # is parsed leniently, and the written one cannot be checked as XML
-        chapter = page('<p>日本</p><img src="images/a.png"/>').decode("utf-8")
-        chapter = chapter.replace("UTF-8", "Shift_JIS").encode("shift_jis")
+    @pytest.mark.parametrize("codec", ["shift_jis", "euc-jp", "gbk"])
+    def test_multibyte_chapter_repaired(self, tmp_path, codec):
+        # expat reads no such encoding itself; it parses the decoded text
+        text = page('<p>日本</p><img src="images/a.png"/>').decode("utf-8")
+        text = text.replace("UTF-8", codec)
+        results, code, out = self._batch_with(tmp_path, text.encode(codec))
+        assert [r.status for r in results] == [FileStatus.REPAIRED, FileStatus.REPAIRED]
+        assert code == 0
+        repaired = open_epub((out / "bad.epub").read_bytes()).entry("OEBPS/ch1.xhtml").data
+        assert repaired.decode(codec) == text.replace(
+            'a.png"', 'a.png" alt="Image: a. Context: 日本."'
+        )
+
+    def test_utf16_chapter_without_bom_audited_and_repaired(self, tmp_path):
+        # XML 1.0 Appendix F: UTF-16 is known by its first character
+        text = page('<p>Café</p><img src="images/a.png"/>').decode("utf-8")
+        chapter = text.replace("UTF-8", "UTF-16").encode("utf-16-le")
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "book.epub").write_bytes(book_with_chapter(chapter, ["a.png"]))
+        (audited,), _ = run_audit([tmp_path / "in"], PipelineConfig(jobs=1))
+        assert [i.code.value for i in audited.pre_report.issues] == ["ImgMissingAlt"]
+        out = tmp_path / "out"
+        (result,), code = run_repair([tmp_path / "in"], PipelineConfig(jobs=1, output_dir=out))
+        assert result.status is FileStatus.REPAIRED and code == 0
+        repaired = open_epub((out / "book.epub").read_bytes()).entry("OEBPS/ch1.xhtml").data
+        assert repaired.decode("utf-16-le") == text.replace("UTF-8", "UTF-16").replace(
+            'a.png"', 'a.png" alt="Image: a. Context: Café."'
+        )
+
+    def test_meta_charset_chapter_not_in_utf8_fails_only_its_book(self, tmp_path):
+        # without an XML declaration XML is UTF-8, whatever a meta charset
+        # says; tag soup may use the meta, but the written chapter is no XML
+        body = '<p>Café</p><img src="images/a.png"/>'
+        chapter = _META_PAGE.format(body).encode("iso-8859-1")
         self._assert_isolated(*self._batch_with(tmp_path, chapter), "MalformedModifiedDoc")
+
+    def test_ascii_meta_charset_chapter_keeps_its_bytes(self, tmp_path):
+        chapter = _META_PAGE.format('<p>Cafe</p><img src="images/a.png"/>').encode("ascii")
+        results, code, out = self._batch_with(tmp_path, chapter)
+        assert [r.status for r in results] == [FileStatus.REPAIRED, FileStatus.REPAIRED]
+        repaired = open_epub((out / "bad.epub").read_bytes()).entry("OEBPS/ch1.xhtml").data
+        assert repaired == chapter.replace(b'a.png"', b'a.png" alt="Image: a. Context: Cafe."')
 
     def test_image_from_internal_entity_left_alone(self, tmp_path):
         # the entity's decorative image and the real one are two images of

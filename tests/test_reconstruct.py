@@ -178,16 +178,6 @@ class TestIntegrityCheck:
             "OEBPS/images/z.png",
         ]
 
-    def test_finding_to_dict(self):
-        finding = IntegrityFinding(
-            FindingCode.MIMETYPE_VIOLATION, FindingSeverity.ERROR, "mimetype"
-        )
-        assert finding.to_dict() == {
-            "code": "MimetypeViolation",
-            "severity": "Error",
-            "path": "mimetype",
-        }
-
 
 class TestRebuild:
     def test_unchanged_model_keeps_opf_bytes(self):
