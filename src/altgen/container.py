@@ -293,15 +293,15 @@ def _parse_container_xml(entries: list[ArchiveEntry]) -> str:
     try:
         root = ET.fromstring(decode_xml(container.data)[0])
     except (Undecodable, ET.ParseError) as exc:
-        raise MalformedContainerXml(str(exc)) from exc
+        raise MalformedContainerXml(f"{CONTAINER_XML_PATH}: {exc}") from exc
     for elem in root.iter():
         if _localname(elem.tag) == "rootfile":
             full_path = elem.get("full-path")
             if not full_path:
-                raise MalformedContainerXml("rootfile element lacks full-path")
+                raise MalformedContainerXml(f"{CONTAINER_XML_PATH}: rootfile element lacks full-path")
             # first rootfile in document order wins
             return full_path
-    raise MalformedContainerXml("no rootfile element")
+    raise MalformedContainerXml(f"{CONTAINER_XML_PATH}: no rootfile element")
 
 
 def write_epub(archive: EpubArchive) -> bytes:

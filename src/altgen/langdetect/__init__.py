@@ -70,19 +70,13 @@ class LanguageVote:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
-def normalize_text(text: str) -> str:
-    """Lowercase, non-letters collapsed to single spaces."""
-    chars = [ch.lower() if ch.isalpha() else " " for ch in text]
-    return " ".join("".join(chars).split())
-
-
 def _normalized_char(ch: str) -> str:
     return ch.lower() if ch.isalpha() else " "
 
 
 class _TwiceNormalized(dict):
-    """str.translate table: what two passes of normalize_text make of each
-    character, before spaces are collapsed. The second pass changes only
+    """str.translate table: what two passes of `_normalized_char` make of
+    each character, before spaces are collapsed. The second pass changes only
     U+0130, whose lowercase ends in a combining dot that is no letter.
     Filled as characters are met, up to a bound."""
 
@@ -101,23 +95,18 @@ def letter_count(text: str) -> int:
 
 
 def _trigrams(normalized: str) -> Counter:
+    """Character trigrams of each word of normalized text, padded with
+    spaces (' word ')."""
     padded_words = [f" {word} " for word in normalized.split()]
     return Counter([padded[i : i + 3] for padded in padded_words for i in range(len(padded) - 2)])
 
 
-def trigram_counts(text: str) -> Counter:
-    """Character trigrams of each word padded with spaces (' word ')."""
-    return _trigrams(normalize_text(text))
-
-
 def rank_trigrams(counts: Counter, k: int = PROFILE_SIZE) -> tuple[str, ...]:
     """Top-k trigrams, most frequent first; ties break alphabetically."""
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return tuple(gram for gram, _ in ordered[:k])
-
-
-def profile_from_text(lang: str, text: str) -> LanguageProfile:
-    return LanguageProfile(lang, rank_trigrams(trigram_counts(text)))
+    # both sorts are stable: the alphabetical order survives among equal counts
+    ordered = sorted(counts)
+    ordered.sort(key=counts.__getitem__, reverse=True)
+    return tuple(ordered[:k])
 
 
 def _ranks(grams: tuple[str, ...]) -> dict[str, int]:
@@ -142,7 +131,7 @@ def detect_statistical(text: str, profiles: list[LanguageProfile]) -> LanguageVo
     """
     if not profiles:
         raise NoProfiles("no language profiles supplied")
-    # trigram_counts(normalize_text(text)) in one pass: the second
+    # normalized twice, in one pass (see _TwiceNormalized); the second
     # normalization leaves every character's letter count as it is
     normalized = " ".join(text.translate(_TWICE_NORMALIZED).split())
     if letter_count(normalized) < MIN_LETTERS:
@@ -255,12 +244,6 @@ def load_profile(path: Path) -> LanguageProfile:
     lines = path.read_text(encoding="utf-8").splitlines()
     trigrams = tuple(line for line in lines if line)
     return LanguageProfile(lang, trigrams)
-
-
-def dump_profile(profile: LanguageProfile, directory: Path) -> Path:
-    path = directory / f"{profile.lang}.profile"
-    path.write_text("\n".join(profile.ranked_trigrams) + "\n", encoding="utf-8")
-    return path
 
 
 _EMBEDDED_CACHE: list[LanguageProfile] = []

@@ -15,10 +15,11 @@ first parsed, the enriched package) rather than the written file.
 Enrichment returns a new package only when it changes one, and only then is
 the OPF written again: its edits are spliced into the OPF's own bytes,
 inside <metadata>, and the rest of the OPF keeps its bytes. A document no
-alt can make well-formed XML fails its book before any caption request. Any AltgenError
-or OSError in any stage of a book, from reading its file to writing the
-repaired copy, gives that book one Failed row and never stops the batch; the
-row keeps what the stages before the failure found. Setting ALTGEN_EPOCH
+alt can make well-formed XML fails its book before any caption request. Any Exception
+in any stage of a book, from reading its file to writing the repaired copy,
+gives that book one Failed row and never stops the batch; the row keeps what
+the stages before the failure found, and its reason starts "internal error"
+when the exception is no AltgenError or OSError. Setting ALTGEN_EPOCH
 freezes the timing clock so reports become byte-stable.
 
 Each command loads only the modules it runs. The modules only repair and
@@ -251,6 +252,8 @@ def _audit_one(path: Path) -> FileResult:
         result.status = FileStatus.AUDITED
     except (AltgenError, OSError) as exc:
         result.failure_reason = str(exc)
+    except Exception as exc:  # a fault in altgen fails its book, not the batch
+        result.failure_reason = f"internal error: {type(exc).__name__}: {exc}"
     result.elapsed_seconds = max(0.0, _clock() - started)
     return result
 
@@ -417,6 +420,8 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, client) -> F
         result.status, result.output_path = FileStatus.REPAIRED, str(out_path)
     except (AltgenError, OSError) as exc:
         result.failure_reason = str(exc)
+    except Exception as exc:  # a fault in altgen fails its book, not the batch
+        result.failure_reason = f"internal error: {type(exc).__name__}: {exc}"
     finally:
         result.elapsed_seconds = max(0.0, _clock() - started)
     return result

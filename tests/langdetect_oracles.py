@@ -5,7 +5,9 @@ the langdetect module computed them before they were made faster.
 and walks every sample trigram; `detect_script` classifies every letter by
 scanning the script ranges. Normalization and trigram counting are the
 per-character loops. Kept apart from the module so the fast versions can be
-checked against them; serves only as an oracle.
+checked against them; serves only as an oracle. `rank_trigrams` orders by
+a key tuple per trigram, and `profile_from_text` builds a profile from raw
+text the way the profile builder does.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from altgen.langdetect import (
     LanguageProfile,
     TextTooShort,
     _SCRIPT_RANGES,
-    rank_trigrams,
 )
 
 
@@ -40,6 +41,15 @@ def trigram_counts(text: str) -> Counter:
         for i in range(len(padded) - 2):
             counts[padded[i : i + 3]] += 1
     return counts
+
+
+def rank_trigrams(counts: Counter, k: int = PROFILE_SIZE) -> tuple[str, ...]:
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return tuple(gram for gram, _ in ordered[:k])
+
+
+def profile_from_text(lang: str, text: str) -> LanguageProfile:
+    return LanguageProfile(lang, rank_trigrams(trigram_counts(text)))
 
 
 def out_of_place_distance(

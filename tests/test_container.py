@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 import struct
 import warnings
 import zipfile
@@ -27,6 +28,10 @@ from altgen.container import (
     open_epub,
     write_epub,
 )
+from altgen.pipeline import FileStatus, PipelineConfig, run_audit
+
+# every MalformedContainerXml reason names the part, as OPF failures do
+NAMES_CONTAINER_XML = f"^{re.escape(CONTAINER_XML_PATH)}: "
 
 
 def test_open_reads_entries_in_archive_order(clean_book_bytes):
@@ -108,15 +113,29 @@ def test_container_xml_missing_rejected():
 
 def test_container_xml_malformed_rejected():
     data = epubgen.build_zip([("META-INF/container.xml", b"<container><unclosed")])
-    with pytest.raises(MalformedContainerXml):
+    with pytest.raises(MalformedContainerXml, match=NAMES_CONTAINER_XML):
         open_epub(data)
+
+
+@pytest.mark.parametrize("keep", [0, 20, 100, -13])
+def test_container_xml_cut_short_fails_its_book_naming_the_part(keep, tmp_path):
+    # -13 keeps the rootfile and cuts only the closing </container> tag
+    with zipfile.ZipFile(io.BytesIO(epubgen.make_book())) as zf:
+        entries = [(i.filename, zf.read(i)) for i in zf.infolist()[1:]]
+    entries = [(n, d[:keep] if n == CONTAINER_XML_PATH else d) for n, d in entries]
+    path = tmp_path / "cut.epub"
+    path.write_bytes(epubgen.build_zip(entries))
+    [row], code = run_audit([path], PipelineConfig(jobs=1))
+    assert code == 2
+    assert row.status is FileStatus.FAILED
+    assert re.match(NAMES_CONTAINER_XML, row.failure_reason), row.failure_reason
 
 
 @pytest.mark.parametrize("encoding", ["x-nope"])
 def test_container_xml_in_an_encoding_expat_cannot_read_rejected(encoding):
     xml = epubgen.container_xml().replace(b"UTF-8", encoding.encode())
     data = epubgen.build_zip([("META-INF/container.xml", xml)])
-    with pytest.raises(MalformedContainerXml, match="encoding"):
+    with pytest.raises(MalformedContainerXml, match=NAMES_CONTAINER_XML + ".*encoding"):
         open_epub(data)
 
 
@@ -134,7 +153,14 @@ def test_container_xml_without_rootfile_rejected():
         b"<rootfiles/></container>"
     )
     data = epubgen.build_zip([("META-INF/container.xml", xml)])
-    with pytest.raises(MalformedContainerXml):
+    with pytest.raises(MalformedContainerXml, match=NAMES_CONTAINER_XML + "no rootfile"):
+        open_epub(data)
+
+
+def test_rootfile_without_full_path_rejected():
+    xml = epubgen.container_xml().replace(b' full-path="OEBPS/content.opf"', b"")
+    data = epubgen.build_zip([("META-INF/container.xml", xml)])
+    with pytest.raises(MalformedContainerXml, match=NAMES_CONTAINER_XML + "rootfile element"):
         open_epub(data)
 
 

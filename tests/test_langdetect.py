@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -25,21 +28,23 @@ from altgen.langdetect import (
     detect_language,
     detect_script,
     detect_statistical,
-    dump_profile,
     letter_count,
     load_embedded_profiles,
     load_profile,
-    normalize_text,
-    profile_from_text,
     rank_trigrams,
-    trigram_counts,
     _TwiceNormalized,
     _distance,
+    _trigrams,
     _ranks,
 )
-from altgen.langdetect.builder import build_profiles, main as builder_main
 
 import langdetect_oracles as oracle
+from langdetect_oracles import profile_from_text
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "build_profiles.py"
+sys.path.insert(0, str(TOOL.parent))
+import build_profiles as profile_tool  # noqa: E402
 
 SAMPLES_PATH = Path(__file__).parent / "data" / "lang_samples.json"
 
@@ -52,6 +57,11 @@ LONG_EN = (
 
 def load_samples() -> dict[str, list[str]]:
     return json.loads(SAMPLES_PATH.read_text(encoding="utf-8"))
+
+
+# the normalization the shipped profiles are built with; detection applies it
+# twice, in one pass (test_one_pass_normalizes_as_two_do)
+normalize_text = profile_tool.normalize
 
 
 class TestNormalize:
@@ -83,17 +93,17 @@ class TestNormalize:
 class TestTrigrams:
     def test_hand_counts(self):
         # " the " + " cat ": six distinct trigrams, one occurrence each
-        counts = trigram_counts("The cat")
+        counts = _trigrams(normalize_text("The cat"))
         assert counts == Counter(
             {" th": 1, "the": 1, "he ": 1, " ca": 1, "cat": 1, "at ": 1}
         )
 
     def test_repeated_word_accumulates(self):
-        counts = trigram_counts("go go go")
+        counts = _trigrams(normalize_text("go go go"))
         assert counts == Counter({" go": 3, "go ": 3})
 
     def test_rank_ties_alphabetical(self):
-        ranked = rank_trigrams(trigram_counts("The cat"))
+        ranked = rank_trigrams(_trigrams(normalize_text("The cat")))
         assert ranked == (" ca", " th", "at ", "cat", "he ", "the")
 
     def test_rank_frequency_first(self):
@@ -106,7 +116,7 @@ class TestTrigrams:
 
     def test_single_letter_word(self):
         # " a " yields exactly one trigram
-        assert trigram_counts("a") == Counter({" a ": 1})
+        assert _trigrams(normalize_text("a")) == Counter({" a ": 1})
 
 
 class TestOutOfPlace:
@@ -154,7 +164,7 @@ class TestStatistical:
         # so d = len(sample) * K and confidence = 1 - d / K^2.
         profile = LanguageProfile("zz", ("000", "111"))
         vote = detect_statistical(LONG_EN, [profile])
-        n = len(rank_trigrams(trigram_counts(LONG_EN)))
+        n = len(rank_trigrams(_trigrams(normalize_text(LONG_EN))))
         expected = 1.0 - (n * PROFILE_SIZE) / (PROFILE_SIZE * PROFILE_SIZE)
         assert vote.confidence == pytest.approx(expected, abs=1e-12)
 
@@ -306,10 +316,12 @@ class TestEnsemble:
 
 class TestProfiles:
     def test_round_trip(self, tmp_path):
-        profile = profile_from_text("en", LONG_EN)
-        path = dump_profile(profile, tmp_path)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "en.txt").write_text(LONG_EN, encoding="utf-8")
+        [path] = profile_tool.build_profiles(corpus, tmp_path / "out")
         assert path.name == "en.profile"
-        assert load_profile(path) == profile
+        assert load_profile(path) == profile_from_text("en", LONG_EN)
 
     def test_duplicate_trigrams_rejected(self):
         with pytest.raises(ValueError):
@@ -365,6 +377,8 @@ class TestProfiles:
 
 
 class TestBuilder:
+    """tools/build_profiles.py, which writes the profiles the package ships."""
+
     def test_build_profiles(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -372,7 +386,7 @@ class TestBuilder:
         samples = load_samples()
         (corpus / "fi.txt").write_text(" ".join(samples["fi"]), encoding="utf-8")
         out = tmp_path / "profiles"
-        written = build_profiles(corpus, out)
+        written = profile_tool.build_profiles(corpus, out)
         assert [p.name for p in written] == ["en.profile", "fi.profile"]
         # Both corpora are tiny, so the under-300 warning fires
         assert "warning" in capsys.readouterr().err
@@ -382,14 +396,29 @@ class TestBuilder:
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "xx.txt").write_text(LONG_EN, encoding="utf-8")
-        assert builder_main([str(corpus), str(tmp_path / "out")]) == 0
+        assert profile_tool.main([str(corpus), str(tmp_path / "out")]) == 0
         assert "xx.profile" in capsys.readouterr().out
 
     def test_cli_empty_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        assert builder_main([str(corpus), str(tmp_path / "out")]) == 2
+        assert profile_tool.main([str(corpus), str(tmp_path / "out")]) == 2
         assert "no *.txt corpora" in capsys.readouterr().err
+
+    def test_shipped_profiles_are_the_tools_output(self, tmp_path):
+        # a change to the trigram rules cannot leave the shipped profiles stale
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        subprocess.run(
+            [sys.executable, str(TOOL), str(ROOT / "tools" / "lang_corpora"), str(tmp_path)],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        shipped = ROOT / "src" / "altgen" / "langdetect" / "profiles"
+        built = sorted(p.name for p in tmp_path.iterdir())
+        assert built == sorted(p.name for p in shipped.glob("*.profile"))
+        for name in built:
+            assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
 
 
 class TestFixtureSet:
@@ -428,8 +457,8 @@ def test_one_pass_normalizes_as_two_do():
     # every code point gives what two passes give, with the letters one gave
     every = "".join(map(chr, range(0x110000)))
     one_pass = " ".join(every.translate(_TwiceNormalized()).split())
-    assert one_pass == normalize_text(normalize_text(every))
-    assert letter_count(one_pass) == letter_count(normalize_text(every))
+    assert one_pass == oracle.normalize_text(oracle.normalize_text(every))
+    assert letter_count(one_pass) == letter_count(oracle.normalize_text(every))
 
 
 # Characters where per-character and whole-string lowering differ ("İ", a
@@ -441,18 +470,29 @@ _EDGE_ALPHABET = st.sampled_from(
 )
 _EDGE_TEXT = st.text(alphabet=_EDGE_ALPHABET, max_size=300) | st.text(max_size=300)
 _GRAMS = st.lists(st.text(min_size=1, max_size=3), max_size=60, unique=True)
+# few trigrams over few counts, so that most counts tie
+_TIED_COUNTS = st.dictionaries(
+    st.text(alphabet="ab ", min_size=1, max_size=3), st.integers(min_value=1, max_value=3)
+).map(Counter)
 
 
 class TestAgainstOracle:
-    """The rank-dict distance, the intersection sum and the script pre-check
-    give exactly what the per-call loops in langdetect_oracles gave."""
+    """The rank-dict distance, the intersection sum, the script pre-check and
+    the two-sort ranking give exactly what the per-call loops and the key
+    tuples in langdetect_oracles gave."""
 
     @given(_EDGE_TEXT)
     @settings(max_examples=300)
     def test_normalize_and_count_equal(self, text):
         assert normalize_text(text) == oracle.normalize_text(text)
         assert letter_count(text) == oracle.letter_count(text)
-        assert trigram_counts(text) == oracle.trigram_counts(text)
+        assert _trigrams(oracle.normalize_text(text)) == oracle.trigram_counts(text)
+
+    @given(_TIED_COUNTS, st.integers(min_value=0, max_value=PROFILE_SIZE))
+    @settings(max_examples=300)
+    def test_rank_equal(self, counts, k):
+        assert rank_trigrams(counts, k) == oracle.rank_trigrams(counts, k)
+        assert rank_trigrams(counts) == oracle.rank_trigrams(counts)
 
     @given(_EDGE_TEXT)
     @settings(max_examples=300)

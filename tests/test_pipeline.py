@@ -732,6 +732,7 @@ def test_mutant_container_fails_only_its_own_book(edits):
         mutant = rows.pop("b.epub")
         assert rows == rows_alone
         assert (mutant["status"] == "Failed") == bool(mutant["reason"])
+        assert not (mutant["reason"] or "").startswith("internal error")
     mixed[2].pop("b.epub", None)
     assert mixed[2] == alone[2]
 

@@ -1,6 +1,6 @@
 """Per-book work run in parallel: pool sizing, the stub pool under every
-start method, remote books on threads under one in-flight cap, and a
-worker process that dies mid-batch."""
+start method, remote books on threads under one in-flight cap, a book that
+raises what nobody expected, and a worker process that dies mid-batch."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from mockserver import MockBackendServer, figure_captions
 from test_acceptance import build_err_corpus
 
 from altgen import pipeline
+from altgen.audit import audit
 from altgen.backend import DEFAULT_INFLIGHT_CAP
 from altgen.cli import main
 from altgen.pipeline import (
@@ -183,3 +184,71 @@ def test_dead_worker_is_a_pipeline_error(command, task, tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith("altgen: error: a worker process died")
     assert "Traceback" not in err
+
+
+FAULT_ENTRY = "OEBPS/fault.txt"
+_AUDIT_ONE, _REPAIR_TASK = pipeline._audit_one, pipeline._repair_task
+
+
+def _audit_or_fault(archive, pkg, images=None):
+    """audit, but a fault in altgen itself on the book that holds FAULT_ENTRY."""
+    if archive.entry(FAULT_ENTRY) is not None:
+        raise RecursionError("maximum recursion depth exceeded")
+    return audit(archive, pkg, images)
+
+
+def _as_in_test_process() -> None:
+    """A pool worker that did not fork from this test (spawn, or a forkserver
+    an earlier test started) has neither the patched audit nor ALTGEN_EPOCH;
+    the test's pool tasks set both in their worker."""
+    pipeline.audit = _audit_or_fault
+    os.environ["ALTGEN_EPOCH"] = "0"
+
+
+def _faulty_audit_one(path):
+    _as_in_test_process()
+    return _AUDIT_ONE(path)
+
+
+def _faulty_repair_task(item, config):
+    _as_in_test_process()
+    return _REPAIR_TASK(item, config)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("command", ["audit", "repair"])
+def test_internal_error_fails_only_its_book(command, jobs, tmp_path, monkeypatch, capsys):
+    src = _pooled_corpus(tmp_path / "corpus")
+    monkeypatch.setenv("ALTGEN_EPOCH", "0")
+    monkeypatch.setattr(pipeline, "audit", _audit_or_fault)
+    monkeypatch.setattr(pipeline, "_audit_one", _faulty_audit_one)
+    monkeypatch.setattr(pipeline, "_repair_task", _faulty_repair_task)
+
+    def run(out: Path) -> tuple[int, dict]:
+        argv = [command, str(src), "--jobs", str(jobs), "--report", "json"]
+        if command == "repair":
+            argv += ["-o", str(out)]
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        for row in report["files"]:
+            row.pop("output_path", None)
+        return code, report
+
+    clean_code, clean = run(tmp_path / "clean")
+    (src / "fault.epub").write_bytes(epubgen.make_book(extra_entries=[(FAULT_ENTRY, b"")]))
+    code, faulty = run(tmp_path / "faulty")
+
+    assert clean_code != 2
+    assert code == 2
+    [failed] = [row for row in faulty["files"] if row["input_path"].endswith("fault.epub")]
+    assert failed["status"] == "Failed"
+    assert failed["reason"] == "internal error: RecursionError: maximum recursion depth exceeded"
+    faulty["files"].remove(failed)
+    assert faulty == clean
+    assert len(clean["files"]) >= 2 * CPU_BOOKS_PER_WORKER
+    if command == "repair":
+        # the report is still written; every other book's bytes are as they were
+        faulty_out, clean_out = _outputs(tmp_path / "faulty"), _outputs(tmp_path / "clean")
+        assert failed in faulty_out.pop(REPORT_FILENAME)["files"]
+        clean_out.pop(REPORT_FILENAME)
+        assert faulty_out == clean_out
