@@ -42,9 +42,8 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from xml.etree import ElementTree as ET
 
-from altgen.container import Undecodable, _localname, decode_xml
+from altgen.container import NotWellFormed, _localname, parse_xml
 from altgen.content import ContextBundle, normalize_ws
 from altgen.errors import AltgenError
 from altgen.metrics import EMBED_CHUNK_PAIRS, LengthMismatch, tokenize
@@ -205,13 +204,12 @@ def fit_to_length(text: str, max_length: int) -> str:
 
 def _svg_title(image_bytes: bytes) -> str | None:
     try:
-        root = ET.fromstring(decode_xml(image_bytes)[0])
-    except (Undecodable, ET.ParseError):
+        root = parse_xml(image_bytes).root
+    except NotWellFormed:
         return None
     for elem in root.iter():
-        if isinstance(elem.tag, str) and _localname(elem.tag) == "title":
-            text = normalize_ws("".join(elem.itertext()))
-            return text or None
+        if _localname(elem.tag) == "title":
+            return normalize_ws("".join(elem.itertext())) or None
     return None
 
 

@@ -3,12 +3,16 @@
 The model is deliberately dumb: an ordered list of entries plus the
 rootfile path from META-INF/container.xml. Round-tripping preserves entry
 order, per-entry compression method, and decompressed content exactly;
-compressed byte streams are regenerated on write.
+compressed byte streams are regenerated on write. Every XML part
+(chapters, the OPF, container.xml, SVG images) is decoded by decode_xml
+and read by parse_xml, the one strict parser; splice writes edits into
+that text, so everything else in the part keeps its bytes.
 """
 
 from __future__ import annotations
 
 import codecs
+import functools
 import io
 import re
 import struct
@@ -16,6 +20,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 from xml.parsers import expat
 
@@ -68,7 +73,11 @@ class InvariantViolation(ContainerError):
     """Archive handed to write_epub breaks an OCF structural invariant."""
 
 
-class Undecodable(AltgenError):
+class NotWellFormed(AltgenError):
+    """XML bytes that parse_xml rejects."""
+
+
+class Undecodable(NotWellFormed):
     """XML bytes that the codec decode_xml picks for them cannot decode."""
 
 
@@ -238,12 +247,6 @@ def _localname(tag: str) -> str:
     return tag.rsplit(":", 1)[-1]
 
 
-def _unexpanded_entity(*args) -> int:
-    # ElementTree rejects an entity reference expat cannot expand: an
-    # undefined one under an external DTD, or an external one
-    raise expat.ExpatError("undefined or external entity")
-
-
 _ENCODING_RE = re.compile(
     rb'<\?xml\s[^>]*encoding\s*=\s*["\']([A-Za-z0-9._-]+)["\']', re.DOTALL
 )
@@ -267,7 +270,7 @@ def decode_xml(data: bytes, meta: bool = False) -> tuple[str, str, bytes]:
     Appendix F): the BOM wins, then UTF-16 known by its first character,
     then the XML declaration, then UTF-8. With `meta`, for tag soup, a meta
     charset comes before UTF-8. `bom + text.encode(codec)` gives the input
-    back. Every strict parse reads this text, and expat reads a str as UTF-8
+    back. parse_xml reads this text, since expat reads a str as UTF-8
     whatever its XML declaration says. Raises Undecodable."""
     for start, codec, n in _STARTS:
         if data.startswith(start):
@@ -291,8 +294,8 @@ def _parse_container_xml(entries: list[ArchiveEntry]) -> str:
     if container is None:
         raise MissingContainerXml(f"no {CONTAINER_XML_PATH} entry")
     try:
-        root = ET.fromstring(decode_xml(container.data)[0])
-    except (Undecodable, ET.ParseError) as exc:
+        root = parse_xml(container.data).root
+    except NotWellFormed as exc:
         raise MalformedContainerXml(f"{CONTAINER_XML_PATH}: {exc}") from exc
     for elem in root.iter():
         if _localname(elem.tag) == "rootfile":
@@ -302,6 +305,89 @@ def _parse_container_xml(entries: list[ArchiveEntry]) -> str:
             # first rootfile in document order wins
             return full_path
     raise MalformedContainerXml(f"{CONTAINER_XML_PATH}: no rootfile element")
+
+
+class ParsedXml(NamedTuple):
+    """`starts` gives every element, in document order, the UTF-8 offset in
+    the decoded text of its start tag's '<', and `ends` of its end tag's
+    '</' (just past '/>' for an empty element); both give the offset of the
+    entity reference, in an entity's replacement text. `declared` gives
+    each element that declares namespaces the URI of each prefix (None: the
+    default namespace)."""
+
+    root: ET.Element
+    decoded: tuple[str, str, bytes]
+    starts: dict[ET.Element, int]
+    ends: dict[ET.Element, int]
+    declared: dict[ET.Element, dict[str | None, str | None]]
+
+
+@functools.lru_cache(maxsize=1024)
+def _tree_name(name: str) -> str:
+    """The ElementTree name of an expat name ("uri}local" if namespaced)."""
+    return "{" + name if "}" in name else name
+
+
+def _unexpanded_entity(*args) -> int:
+    # ElementTree rejects an entity reference expat cannot expand: an
+    # undefined one under an external DTD, or an external one
+    raise NotWellFormed("undefined or external entity")
+
+
+def parse_xml(data: bytes) -> ParsedXml:
+    """The tree ET.fromstring builds of the text decode_xml gives for
+    `data`, and where each of its elements is in that text. Raises
+    NotWellFormed (Undecodable among them) where either of those raises."""
+    decoded = decode_xml(data)
+    builder = ET.TreeBuilder()
+    parser = expat.ParserCreate(None, "}")
+    parser.buffer_text = True
+    starts, ends, declared, pending = {}, {}, {}, {}
+
+    def start(name: str, attrs: dict[str, str]) -> None:
+        if attrs:
+            attrs = {_tree_name(key): value for key, value in attrs.items()}
+        elem = builder.start(_tree_name(name), attrs)
+        starts[elem] = parser.CurrentByteIndex
+        if pending:
+            declared[elem] = dict(pending)
+            pending.clear()
+
+    def end(name: str) -> None:
+        ends[builder.end(name)] = parser.CurrentByteIndex
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = builder.data
+    parser.StartNamespaceDeclHandler = pending.__setitem__
+    parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = _unexpanded_entity
+    try:
+        parser.Parse(decoded[0], True)
+    except expat.ExpatError as exc:
+        raise NotWellFormed(str(exc)) from exc
+    return ParsedXml(builder.close(), decoded, starts, ends, declared)
+
+
+def is_well_formed(data: bytes) -> bool:
+    """Whether parse_xml takes `data`."""
+    try:
+        parse_xml(data)
+    except NotWellFormed:
+        return False
+    return True
+
+
+def splice(decoded: tuple[str, str, bytes], edits: list[tuple[int, int, str]]) -> bytes:
+    """The (text, codec, bom) decode_xml gave, encoded back with each
+    (first, last, new) edit, which must not overlap, putting `new` in place
+    of text[first:last]; a character the codec lacks is escaped."""
+    text, codec, bom = decoded
+    out, pos = [], 0
+    for first, last, new in sorted(edits):
+        out += (text[pos:first], new)
+        pos = last
+    out.append(text[pos:])
+    return bom + "".join(out).encode(codec, "xmlcharrefreplace")
 
 
 def write_epub(archive: EpubArchive) -> bytes:

@@ -1,25 +1,23 @@
 """Locate images in XHTML content documents, pull surrounding context, and
 splice alt attributes back in without disturbing the rest of the file.
 
-One parse locates every image, in the text container.decode_xml gives for
-the bytes. Strict XML goes through expat into the tree ElementTree would
-build, and each image's start tag is located by the offset expat reports
-for it; tag soup goes through html.parser, which gives each image's start
-tag as it reads it. There is no second scan of the source: alt writes
-splice that text (not a re-serialized DOM) at the start tags the parse
-located and encode it in the codec it was decoded with, so untouched markup
-keeps its bytes.
+One parse locates every image. Strict XML goes through container.parse_xml,
+which records where each element's start tag is in the text
+container.decode_xml gives for the bytes; tag soup goes through
+html.parser, which gives each image's start tag as it reads it. There is
+no second scan of the source: alt writes go into that text (not a
+re-serialized DOM) at the start tags the parse located, through
+container.splice, so untouched markup keeps its bytes.
 
 Repair handles a document in a single pass (ContentDocument): it is decoded
 and parsed once, every target's context comes from one tree walk, every alt
 is spliced in one pass over the source text, and the result is checked once
 by re-parsing it: same image count, every written alt in place. That
 re-parse also gives the written document's images and whether it is
-well-formed XML, so nothing parses it again; is_well_formed gives that
-verdict for bytes alone. Contexts come from the original document, since
-alt attributes never feed context text. find_images, extract_context,
-set_alt_text and document_text are the one-image or one-use forms of
-ContentDocument and VisibleText.
+well-formed XML, so nothing parses it again. Contexts come from the
+original document, since alt attributes never feed context text.
+find_images, extract_context, set_alt_text and document_text are the
+one-image or one-use forms of ContentDocument and VisibleText.
 """
 
 from __future__ import annotations
@@ -30,10 +28,9 @@ import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
 from xml.etree import ElementTree as ET
-from xml.parsers import expat
 
-from altgen.container import XML_START_TAG_RE, ArchiveEntry, Undecodable, decode_xml
-from altgen.container import _localname, _unexpanded_entity
+from altgen.container import XML_START_TAG_RE, ArchiveEntry, NotWellFormed, _localname
+from altgen.container import decode_xml, is_well_formed, parse_xml, splice
 from altgen.errors import AltgenError
 from altgen.package import MetaKind, PackageDocument, escape, resolve_href
 
@@ -103,67 +100,34 @@ _VOID_TAGS = frozenset(
 class _Document(ET.Element):
     """The synthetic '#document' wrapper parse_document returns, with its
     image elements in document order (`images`) and where each one's start
-    tag is in the source. A strict parse gives `starts`, the offset of each
-    start tag's '<' in the UTF-8 of the parsed text (for an image from an
-    entity's replacement text, the offset of the entity reference). A
-    lenient parse gives `spans`, each start tag's (first, last) character
-    offsets in the text. `decoded` is the (text, codec, bom) decode_xml
-    gave for the parse."""
+    tag is in the source. A strict parse gives `starts`, each start tag's
+    offset as parse_xml records it. A lenient parse gives `spans`, each
+    start tag's (first, last) character offsets in the text. `decoded` is
+    the (text, codec, bom) decode_xml gave for the parse."""
 
-    def __init__(self, images: list[ET.Element], starts=None, spans=None) -> None:
+    def __init__(self, images: list[ET.Element], decoded, starts=None, spans=None) -> None:
         super().__init__("#document")
         self.images = images
+        self.decoded: tuple[str, str, bytes] = decoded
         self.starts: list[int] | None = starts
         self.spans: list[tuple[int, int]] | None = spans
-        self.decoded: tuple[str, str, bytes] = ("", "utf-8", b"")
 
 
 @functools.lru_cache(maxsize=1024)
-def _expat_name(name: str) -> tuple[str, bool]:
-    """(ElementTree name, whether an element of it is an image) of an expat
-    name, which is "uri}local" for a namespaced one."""
-    tag = "{" + name if "}" in name else name
-    return tag, _localname(tag) in _IMAGE_TAGS
-
-
-def _parse_xml(text: str) -> _Document:
-    """The tree ET.fromstring(text) builds, under a _Document. Raises
-    expat.ExpatError where ET.fromstring raises ParseError."""
-    builder = ET.TreeBuilder()
-    parser = expat.ParserCreate(None, "}")
-    parser.buffer_text = True
-    images: list[ET.Element] = []
-    starts: list[int] = []
-
-    def start(name: str, attrs: dict[str, str]) -> None:
-        tag, image = _expat_name(name)
-        if attrs:
-            attrs = {_expat_name(key)[0]: value for key, value in attrs.items()}
-        elem = builder.start(tag, attrs)
-        if image:
-            images.append(elem)
-            starts.append(parser.CurrentByteIndex)
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = builder.end
-    parser.CharacterDataHandler = builder.data
-    parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = _unexpanded_entity
-    parser.Parse(text, True)
-    document = _Document(images, starts=starts)
-    document.append(builder.close())
-    return document
+def _is_image(tag: str) -> bool:
+    return _localname(tag) in _IMAGE_TAGS
 
 
 class _LenientBuilder(HTMLParser):
     """Builds an ElementTree from tag soup; mismatched end tags are dropped,
     void elements never stay open. `root` is a _Document."""
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, decoded: tuple[str, str, bytes]) -> None:
         super().__init__(convert_charrefs=True)
-        self.root = _Document([], spans=[])
+        self.root = _Document([], decoded, spans=[])
         self._stack: list[ET.Element] = [self.root]
-        # offset in `text`, which will be fed, of each line getpos() counts
-        self._lines = [0, *(match.end() for match in re.finditer("\n", text))]
+        # offset in the text, which will be fed, of each line getpos() counts
+        self._lines = [0, *(match.end() for match in re.finditer("\n", decoded[0]))]
 
     @staticmethod
     def _attr_dict(attrs: list[tuple[str, str | None]]) -> dict[str, str]:
@@ -174,7 +138,7 @@ class _LenientBuilder(HTMLParser):
 
     def _element(self, tag: str, attrs: list[tuple[str, str | None]]) -> ET.Element:
         elem = ET.SubElement(self._stack[-1], tag, self._attr_dict(attrs))
-        if _localname(tag) in _IMAGE_TAGS:
+        if _is_image(tag):
             line, column = self.getpos()
             start = self._lines[line - 1] + column
             self.root.images.append(elem)
@@ -204,34 +168,25 @@ class _LenientBuilder(HTMLParser):
             current.text = (current.text or "") + data
 
 
-def is_well_formed(data: bytes) -> bool:
-    """Whether `data` is well-formed XML, by the strict parse
-    parse_document tries first."""
-    try:
-        _parse_xml(decode_xml(data)[0])
-    except (Undecodable, expat.ExpatError):
-        return False
-    return True
-
-
 def parse_document(data: bytes) -> _Document:
     """Parse strict XML, falling back to lenient HTML, whose text a meta
     charset may decode. Returns a synthetic '#document' wrapper element,
     which also lists the image elements, locates their start tags and holds
     the decoded text (_Document). Raises UnparseableDocument."""
     try:
-        decoded = decode_xml(data)
-        root = _parse_xml(decoded[0])
-    except (Undecodable, expat.ExpatError):
+        parsed = parse_xml(data)
+    except NotWellFormed:
         try:
             decoded = decode_xml(data, meta=True)
-            builder = _LenientBuilder(decoded[0])
+            builder = _LenientBuilder(decoded)
             builder.feed(decoded[0])
             builder.close()
         except Exception as exc:  # Undecodable; HTMLParser rarely raises, but never crash
             raise UnparseableDocument(str(exc)) from exc
-        root = builder.root
-    root.decoded = decoded
+        return builder.root
+    images = [elem for elem in parsed.starts if _is_image(elem.tag)]
+    root = _Document(images, parsed.decoded, starts=[parsed.starts[elem] for elem in images])
+    root.append(parsed.root)
     return root
 
 
@@ -559,9 +514,8 @@ class ContentDocument:
         self.doc = doc
         self.doc_path = doc.path if doc_path is None else doc_path
         root = parse_document(doc.data)
-        self._text, self._codec, self._bom = root.decoded
         self._root: _Document | None = root
-        self._starts, self._spans = root.starts, root.spans
+        self._decoded, self._starts, self._spans = root.decoded, root.starts, root.spans
         self.images = _occurrences(root, self.doc_path)
 
     def _check_index(self, index: int) -> None:
@@ -585,33 +539,24 @@ class ContentDocument:
         title = _title(pkg)
         return {i: index.context(i, title) for i in indices}
 
-    def _tag_spans(self, indices: list[int]) -> list[tuple[int, int]]:
-        """(first, last) character offsets of each indexed image's start tag,
-        for ascending `indices`. Raises DocumentError for an image that has
-        no start tag of its own in the source."""
-        if self._spans is not None:
-            return [self._spans[i] for i in indices]
-        utf8 = self._text.encode("utf-8")
-        spans, at, pos = [], 0, 0
-        for i in indices:
-            pos += len(utf8[at : self._starts[i]].decode("utf-8"))
-            at = self._starts[i]
-            match = XML_START_TAG_RE.match(self._text, pos)
-            if match is None:
-                raise DocumentError(f"{self.doc_path}: image index {i} has no start tag")
-            spans.append((pos, match.end() - 1))
-        return spans
-
     def _spliced(self, alts: dict[int, str]) -> bytes:
-        """The source with each image index in `alts` given its alt."""
-        indices, text = sorted(alts), self._text
-        out, pos = [], 0
-        for index, (start, end) in zip(indices, self._tag_spans(indices)):
-            body_start, body_end, body = _alt_tag_body(text, start, end, alts[index])
-            out += (text[pos:body_start], body)
-            pos = body_end
-        out.append(text[pos:])
-        return self._bom + "".join(out).encode(self._codec, "xmlcharrefreplace")
+        """The source with each image index in `alts` given its alt, written
+        into the image's start tag. Raises DocumentError for an image that
+        has no start tag of its own in the source."""
+        text = self._decoded[0]
+        utf8, edits, at, pos = text.encode("utf-8"), [], 0, 0
+        for i in sorted(alts):
+            if self._spans is not None:
+                first, last = self._spans[i]
+            else:  # the strict parse located the tag by its UTF-8 offset
+                pos += len(utf8[at : self._starts[i]].decode("utf-8"))
+                at = self._starts[i]
+                match = XML_START_TAG_RE.match(text, pos)
+                if match is None:
+                    raise DocumentError(f"{self.doc_path}: image index {i} has no start tag")
+                first, last = pos, match.end() - 1
+            edits.append(_alt_tag_body(text, first, last, alts[i]))
+        return splice(self._decoded, edits)
 
     def can_be_well_formed(self, indices: list[int]) -> bool:
         """False when no alts at the image `indices` can make the spliced

@@ -2,10 +2,10 @@
 
 The model holds what altgen reads: Dublin Core entries, accessibility
 metas, the text of the other metadata children, the manifest and the spine.
-It also keeps the OPF's bytes, where the one parse of their decoded text
-found <metadata> and each of its children, and the namespace prefixes in
+It also keeps the OPF's decoded text, where container.parse_xml found
+<metadata> and each of its children in it, and the namespace prefixes in
 scope inside <metadata>. serialize_opf writes enrichment's edits into that
-text, in the OPF's own codec, so everything outside <metadata>, and every
+text through container.splice, so everything outside <metadata>, and every
 child it does not edit, keeps its bytes.
 """
 
@@ -18,10 +18,9 @@ from enum import Enum
 from typing import NamedTuple
 from urllib.parse import unquote, urlsplit
 from xml.etree import ElementTree as ET
-from xml.parsers import expat
 
-from altgen.container import XML_START_TAG_RE, ArchiveEntry, InvariantViolation, Undecodable
-from altgen.container import _localname, _unexpanded_entity, decode_xml
+from altgen.container import XML_START_TAG_RE, ArchiveEntry, InvariantViolation, NotWellFormed
+from altgen.container import _localname, parse_xml, splice
 from altgen.errors import AltgenError
 
 OPF_NS = "http://www.idpf.org/2007/opf"
@@ -81,10 +80,8 @@ _DC_LOCAL_BY_KIND = {v: k for k, v in _DC_KINDS.items()}
 
 
 class Span(NamedTuple):
-    """Where parse_opf read a metadata entry, in the UTF-8 of the text
-    decode_xml gives for the OPF's bytes: the offset of its start tag, the
-    offset of its end tag (of the end of its tag, for an empty element),
-    and the value it read there."""
+    """Where parse_opf read a metadata entry, as container.ParsedXml's
+    `starts` and `ends` give it, and the value it read there."""
 
     start: int
     end: int
@@ -118,10 +115,10 @@ class PackageDocument:
     metadata: list[MetaEntry] = field(default_factory=list)
     manifest: list[ManifestItem] = field(default_factory=list)
     spine: list[str] = field(default_factory=list)
-    # the OPF's bytes as read, the offsets of its <metadata> as a Span gives
-    # them, and the namespace URI each prefix is bound to inside it (None
-    # for the default namespace)
-    source: bytes = field(default=b"", compare=False, repr=False)
+    # the (text, codec, bom) parse_xml decoded the OPF to, the offsets of
+    # its <metadata> as a Span gives them, and the namespace URI each
+    # prefix is bound to inside it (None for the default namespace)
+    decoded: tuple[str, str, bytes] = field(default=("", "utf-8", b""), compare=False, repr=False)
     metadata_span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
     namespaces: dict[str | None, str | None] = field(
         default_factory=dict, compare=False, repr=False
@@ -192,46 +189,6 @@ def escape(text: str, quote: bool = False) -> str:
     return text.replace('"', "&quot;") if quote else text
 
 
-def _et_name(name: str) -> str:
-    return "{" + name if "}" in name else name
-
-
-def _parse_xml(text: str) -> tuple[ET.Element, dict, dict]:
-    """The tree ET.fromstring(text) builds; the (start, end) offsets, as a
-    Span gives them, of every child and grandchild of its root; and the
-    namespaces the root and each of its children declare, by element.
-    Raises expat.ExpatError where ET.fromstring raises ParseError."""
-    builder = ET.TreeBuilder()
-    parser = expat.ParserCreate(None, "}")
-    parser.buffer_text = True
-    starts: list[int] = []
-    spans: dict[ET.Element, tuple[int, int]] = {}
-    declared: dict[ET.Element, dict[str | None, str | None]] = {}
-    pending: dict[str | None, str | None] = {}
-
-    def start(name: str, attrs: dict[str, str]) -> None:
-        elem = builder.start(_et_name(name), {_et_name(k): v for k, v in attrs.items()})
-        if pending:
-            if len(starts) < 2:
-                declared[elem] = dict(pending)
-            pending.clear()
-        starts.append(parser.CurrentByteIndex)
-
-    def end(name: str) -> None:
-        elem = builder.end(name)
-        start = starts.pop()
-        if 1 <= len(starts) <= 2:
-            spans[elem] = (start, parser.CurrentByteIndex)
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = builder.data
-    parser.StartNamespaceDeclHandler = pending.__setitem__
-    parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = _unexpanded_entity
-    parser.Parse(text, True)
-    return builder.close(), spans, declared
-
-
 def parse_opf(entry: ArchiveEntry) -> PackageDocument:
     """Parse an OPF package document from an archive entry; manifest hrefs
     resolve against the entry's directory.
@@ -240,8 +197,8 @@ def parse_opf(entry: ArchiveEntry) -> PackageDocument:
     DuplicateManifestId, DuplicateManifestHref, DanglingSpineRef.
     """
     try:
-        root, spans, declared = _parse_xml(decode_xml(entry.data)[0])
-    except (Undecodable, expat.ExpatError) as exc:
+        root, decoded, starts, ends, declared = parse_xml(entry.data)
+    except NotWellFormed as exc:
         raise MalformedXml(f"{entry.path}: {exc}") from exc
     if _localname(root.tag) != "package":
         raise MalformedXml(f"{entry.path}: root element is not <package>")
@@ -255,18 +212,18 @@ def parse_opf(entry: ArchiveEntry) -> PackageDocument:
     metadata = sections["metadata"]
 
     doc = PackageDocument(
-        source=entry.data,
-        metadata_span=spans[metadata],
+        decoded=decoded,
+        metadata_span=(starts[metadata], ends[metadata]),
         namespaces={**declared.get(root, {}), **declared.get(metadata, {})},
     )
-    _parse_metadata(metadata, spans, doc)
+    _parse_metadata(metadata, starts, ends, doc)
     _parse_manifest(sections["manifest"], doc, entry.path)
     _parse_spine(sections["spine"], doc, entry.path)
     return doc
 
 
-def _parse_metadata(metadata_elem: ET.Element, spans: dict, doc: PackageDocument) -> None:
-    for child in metadata_elem:
+def _parse_metadata(metadata: ET.Element, starts: dict, ends: dict, doc: PackageDocument) -> None:
+    for child in metadata:
         uri, local = _split_tag(child.tag)
         text = child.text or ""
         kind, prop = MetaKind.OTHER, None
@@ -278,7 +235,7 @@ def _parse_metadata(metadata_elem: ET.Element, spans: dict, doc: PackageDocument
                 kind, prop = MetaKind.SCHEMA_ACCESSIBILITY, prop[7:]
             else:
                 prop = None
-        doc.metadata.append(MetaEntry(kind, text, prop, Span(*spans[child], text)))
+        doc.metadata.append(MetaEntry(kind, text, prop, Span(starts[child], ends[child], text)))
 
 
 def _parse_manifest(manifest_elem: ET.Element, doc: PackageDocument, opf_path: str) -> None:
@@ -354,18 +311,22 @@ def serialize_opf(doc: PackageDocument) -> bytes:
     _new_element writes it), which is opened first when it is an empty
     element. An entry whose value is no longer the one read gets the new
     value as the whole content of its element. Nothing else changes. Raises
-    InvariantViolation for a value holding a character XML does not allow.
+    InvariantViolation for a value holding a character XML does not allow,
+    and PackageError for an element to edit that came from an entity's
+    replacement text, which has no tags of its own to write into.
     """
-    text, codec, bom = decode_xml(doc.source)
+    text = doc.decoded[0]
     utf8 = text.encode("utf-8")
 
-    def element(span: tuple[int, ...]) -> tuple[int, int, str]:
+    def element(span: tuple[int, ...], name: str) -> tuple[int, int, str]:
         # (first, last, end tag): the element's content is text[first:last];
         # for an empty element that is its "/>", and the end tag is the one
         # it needs once opened
         start = len(utf8[: span[0]].decode("utf-8"))
         end = start + len(utf8[span[0] : span[1]].decode("utf-8"))
         tag = XML_START_TAG_RE.match(text, start)
+        if tag is None:
+            raise PackageError(f"the OPF's {name} has no start tag of its own")
         if tag.end() == end and text.endswith("/>", start, end):
             return end - 2, end, f"</{text[start + 1 : end - 2].split()[0]}>"
         return tag.end(), end, ""
@@ -373,12 +334,12 @@ def serialize_opf(doc: PackageDocument) -> bytes:
     edits: list[tuple[int, int, str]] = []
     for entry in doc.metadata:
         if entry.span is not None and entry.value != entry.span.value:
-            first, last, end_tag = element(entry.span)
+            first, last, end_tag = element(entry.span, f"{entry.kind.value} {entry.span.value!r}")
             value = _escaped(entry.value)
             edits.append((first, last, f">{value}{end_tag}" if end_tag else value))
     added = [_new_element(e, doc.namespaces) for e in doc.metadata if e.span is None]
     if added:
-        first, last, end_tag = element(doc.metadata_span)
+        first, last, end_tag = element(doc.metadata_span, "<metadata>")
         if end_tag:
             edits.append((first, last, ">" + "".join(added) + end_tag))
         else:
@@ -387,9 +348,4 @@ def serialize_opf(doc: PackageDocument) -> bytes:
             sep = indent + "  " if "\n" in indent else indent
             at = last - len(indent)
             edits.append((at, at, "".join(sep + e for e in added)))
-    out, pos = [], 0
-    for first, last, new in sorted(edits):
-        out += (text[pos:first], new)
-        pos = last
-    out.append(text[pos:])
-    return bom + "".join(out).encode(codec, "xmlcharrefreplace")
+    return splice(doc.decoded, edits)

@@ -18,9 +18,10 @@ inside <metadata>, and the rest of the OPF keeps its bytes. A document no
 alt can make well-formed XML fails its book before any caption request. Any Exception
 in any stage of a book, from reading its file to writing the repaired copy,
 gives that book one Failed row and never stops the batch; the row keeps what
-the stages before the failure found, and its reason starts "internal error"
-when the exception is no AltgenError or OSError. Setting ALTGEN_EPOCH
-freezes the timing clock so reports become byte-stable.
+the stages before the failure found. When the exception is no AltgenError
+or OSError, the reason starts "internal error" and the traceback goes to
+stderr. Setting ALTGEN_EPOCH freezes the timing clock, in pool workers
+too, so reports become byte-stable.
 
 Each command loads only the modules it runs. The modules only repair and
 validate use (backend, enrich, langdetect, reconstruct) are bound lazily:
@@ -59,13 +60,8 @@ from types import ModuleType
 
 from altgen.audit import AuditReport, audit, content_documents, is_well_formed_language_tag
 from altgen.container import ArchiveEntry, EpubArchive, open_epub
-from altgen.content import (
-    ContentDocument,
-    ImageOccurrence,
-    UnparseableDocument,
-    VisibleText,
-    find_images,
-)
+from altgen.content import ContentDocument, ImageOccurrence, UnparseableDocument, VisibleText
+from altgen.content import find_images
 from altgen.errors import AltgenError
 from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate
 from altgen.package import MetaKind, PackageDocument, parse_opf, serialize_opf
@@ -166,6 +162,7 @@ class FileResult:
     elapsed_seconds: float = 0.0
     failure_reason: str | None = None
     output_path: str | None = None
+    traceback: str | None = None  # of an internal error; never in the report
 
     def to_dict(self) -> dict:
         return {
@@ -244,6 +241,14 @@ def _open_for_pipeline(data: bytes) -> tuple[EpubArchive, PackageDocument]:
     return archive, parse_opf(opf_entry)
 
 
+def _internal_error(result: FileResult, exc: Exception) -> None:
+    """Fails the book for a fault in altgen; _by_path prints the traceback."""
+    import traceback  # loaded only on a fault
+
+    result.failure_reason = f"internal error: {type(exc).__name__}: {exc}"
+    result.traceback = "".join(traceback.format_exception(exc))
+
+
 def _audit_one(path: Path) -> FileResult:
     started = _clock()
     result = FileResult(str(path), FileStatus.FAILED)
@@ -253,7 +258,7 @@ def _audit_one(path: Path) -> FileResult:
     except (AltgenError, OSError) as exc:
         result.failure_reason = str(exc)
     except Exception as exc:  # a fault in altgen fails its book, not the batch
-        result.failure_reason = f"internal error: {type(exc).__name__}: {exc}"
+        _internal_error(result, exc)
     result.elapsed_seconds = max(0.0, _clock() - started)
     return result
 
@@ -421,7 +426,7 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, client) -> F
     except (AltgenError, OSError) as exc:
         result.failure_reason = str(exc)
     except Exception as exc:  # a fault in altgen fails its book, not the batch
-        result.failure_reason = f"internal error: {type(exc).__name__}: {exc}"
+        _internal_error(result, exc)
     finally:
         result.elapsed_seconds = max(0.0, _clock() - started)
     return result
@@ -462,6 +467,12 @@ def _largest_first(files: list[Path]) -> list[Path]:
     return sorted(files, key=size, reverse=True)
 
 
+def _set_epoch(epoch: str) -> None:
+    """Gives a pool worker the caller's ALTGEN_EPOCH, which a forkserver
+    started earlier would not have."""
+    os.environ[ENV_EPOCH] = epoch  # "" when unset, which _clock reads as unset
+
+
 def _run_pool(task, items: list, workers: int) -> list[FileResult]:
     """task(item) for every item on `workers` processes, in the order given,
     a chunk of items at a time."""
@@ -473,7 +484,8 @@ def _run_pool(task, items: list, workers: int) -> list[FileResult]:
     chunksize = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
     try:
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context()
+            max_workers=workers, mp_context=multiprocessing.get_context(),
+            initializer=_set_epoch, initargs=(os.environ.get(ENV_EPOCH, ""),),
         ) as pool:
             return list(pool.map(task, items, chunksize=chunksize))
     except BrokenProcessPool as exc:
@@ -498,6 +510,15 @@ def aggregate_results(results: list[FileResult]) -> dict:
         "no_baseline": no_baseline,
         "seconds_per_file": seconds_per_file,
     }
+
+
+def _by_path(results: list[FileResult]) -> None:
+    """Sorts results by input path, and prints the traceback of each
+    internal error to stderr in that order, whichever process ran it."""
+    results.sort(key=lambda r: r.input_path)
+    for r in results:
+        if r.traceback:
+            sys.stderr.write(f"altgen: internal error on {r.input_path}:\n{r.traceback}")
 
 
 def _exit_code(results: list[FileResult], errors_key: str) -> int:
@@ -528,7 +549,7 @@ def run_audit(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fil
         results = [_audit_one(path) for path in files]
     else:
         results = _run_pool(_audit_one, _largest_first(files), workers)
-    results.sort(key=lambda r: r.input_path)
+    _by_path(results)
     return results, _exit_code(results, "pre_errors")
 
 
@@ -557,7 +578,7 @@ def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fi
     else:
         items = [(path, names[path]) for path in _largest_first(files)]
         results = _run_pool(functools.partial(_repair_task, config=config), items, workers)
-    results.sort(key=lambda r: r.input_path)
+    _by_path(results)
     payload = report_json(results).encode("utf-8")
     try:
         reconstruct.write_file_atomic(config.output_dir / REPORT_FILENAME, payload)

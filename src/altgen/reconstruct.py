@@ -8,15 +8,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from altgen.container import (
-    ArchiveEntry,
-    Compression,
-    EpubArchive,
-    MIMETYPE_CONTENT,
-    MIMETYPE_PATH,
-    write_epub,
-)
-from altgen.content import is_well_formed
+from altgen.container import MIMETYPE_CONTENT, MIMETYPE_PATH, ArchiveEntry, Compression
+from altgen.container import EpubArchive, is_well_formed, write_epub
 from altgen.errors import AltgenError
 from altgen.package import PackageDocument, XHTML_MEDIA_TYPES, has_scheme
 
@@ -74,7 +67,7 @@ def integrity_check(archive: EpubArchive, pkg: PackageDocument) -> list[Integrit
 
     A modified content document must be well-formed XML. The verdict is the
     entry's own (`well_formed`, set by ContentDocument.splice) when it has
-    one, else content.is_well_formed's on its bytes."""
+    one, else container.is_well_formed's on its bytes."""
     findings: list[IntegrityFinding] = []
 
     manifest_hrefs = set()

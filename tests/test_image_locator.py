@@ -1,12 +1,12 @@
-"""The one image locator: the strict parse against ElementTree's, and alt
-splices that touch nothing but the targeted start tags."""
+"""The one strict parser against ElementTree's, on chapters, OPFs and
+container.xml files, and alt splices that touch nothing but the targeted
+start tags."""
 
 from __future__ import annotations
 
 import codecs
 import re
 from xml.etree import ElementTree as ET
-from xml.parsers import expat
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import content_oracles
 import epubgen
-from altgen import content
-from altgen.container import ArchiveEntry, Undecodable, decode_xml
+from altgen.container import ArchiveEntry, NotWellFormed, Undecodable, _localname, decode_xml
+from altgen.container import parse_xml
 from altgen.content import ContentDocument, parse_document
 from altgen.errors import AltgenError
 
@@ -23,6 +23,9 @@ XHTML = "http://www.w3.org/1999/xhtml"
 SVG = "http://www.w3.org/2000/svg"
 XLINK = "http://www.w3.org/1999/xlink"
 OPS = "http://www.idpf.org/2007/ops"
+OPF = "http://www.idpf.org/2007/opf"
+DC = "http://purl.org/dc/elements/1.1/"
+OCF = "urn:oasis:names:tc:opendocument:xmlns:container"
 EXTERNAL_DTD = (
     '<!DOCTYPE html PUBLIC "-//W3C//DTD XHTML 1.1//EN" '
     '"http://www.w3.org/TR/xhtml11/DTD/xhtml11.dtd"'
@@ -32,6 +35,9 @@ ENTITIES = {
     "who": "the keeper &amp; his fox",
     "fig": "<span>a <img src='images/e.png'/> b</span>",
     "far": None,  # an external entity, which ElementTree never loads
+    "lang": "<dc:language>fr</dc:language>",
+    "meta": "<meta property='schema:accessMode'>textual</meta><meta name='x' content='y'/>",
+    "root": "<rootfile full-path='b.opf' media-type='application/oebps-package+xml'/>",
 }
 
 # --- tree equality ---
@@ -97,8 +103,59 @@ xml_leaf = st.one_of(
 xml_bodies = st.recursive(st.lists(xml_leaf, max_size=4), lambda i: st.lists(xml_nodes(i), max_size=3))
 
 
+opf_metadata = st.lists(
+    st.one_of(
+        text,
+        st.sampled_from(["&lang;", "&meta;", "&who;", "&far;", "<!-- a note -->"]),
+        st.tuples(st.sampled_from(["title", "language", "creator"]), text).map(
+            lambda t: f"<dc:{t[0]}>{t[1]}</dc:{t[0]}>"
+        ),
+        xml_attrs().map(lambda a: f"<dc:date{a}/>"),
+        st.just('<meta property="schema:accessibilityFeature">altText</meta>'),
+        st.just(f'<x:meta xmlns:x="{OPF}" name="cover" content="c"/>'),
+    ),
+    max_size=5,
+)
+
+
 @st.composite
-def xml_documents(draw) -> bytes:
+def opf_roots(draw) -> str:
+    # the dc: prefix is declared on <package> or on <metadata>
+    declared = f' xmlns:dc="{DC}"'
+    on_package, on_metadata = draw(st.sampled_from([(declared, ""), ("", declared)]))
+    metadata = "".join(draw(opf_metadata))
+    return (
+        f'<package xmlns="{OPF}"{on_package} version="3.0">'
+        f"<metadata{on_metadata}>{metadata}</metadata>"
+        '<manifest><item id="c1" href="ch1.xhtml" media-type="application/xhtml+xml"/></manifest>'
+        '<spine><itemref idref="c1"/></spine></package>'
+    )
+
+
+@st.composite
+def container_roots(draw) -> str:
+    rootfiles = st.sampled_from(
+        [
+            "&root;",
+            "&who;",
+            "\n  ",
+            '<rootfile full-path="a.opf" media-type="application/oebps-package+xml"/>',
+            '<rootfile full-path="a.opf" ></rootfile >',
+        ]
+    )
+    inner = "".join(draw(st.lists(rootfiles, max_size=3)))
+    return f'<container version="1.0" xmlns="{OCF}"><rootfiles>{inner}</rootfiles></container>'
+
+
+@st.composite
+def chapter_roots(draw) -> str:
+    body = "".join(draw(xml_bodies))
+    lang = draw(st.sampled_from(["", ' xml:lang="en"']))
+    return f'<html xmlns="{XHTML}" xmlns:epub="{OPS}"{lang}><body>{body}</body></html>'
+
+
+@st.composite
+def xml_documents(draw, roots=chapter_roots()) -> bytes:
     declared = draw(st.sets(st.sampled_from(sorted(ENTITIES))))
     subset = "".join(
         f'<!ENTITY {name} SYSTEM "{name}.xml">'
@@ -111,13 +168,11 @@ def xml_documents(draw) -> bytes:
             ["", "<!DOCTYPE html>", "<!DOCTYPE html [{}]>", EXTERNAL_DTD + ">", EXTERNAL_DTD + " [{}]>"]
         )
     )
-    body = "".join(draw(xml_bodies))
-    lang = draw(st.sampled_from(["", ' xml:lang="en"']))
     source = (
         draw(st.sampled_from(["", '<?xml version="1.0" encoding="{}"?>\n']))
         + doctype.format(subset)
         + draw(st.sampled_from(["", "\n<!-- prolog -->\n", "<?pi before?>"]))
-        + f'<html xmlns="{XHTML}" xmlns:epub="{OPS}"{lang}><body>{body}</body></html>'
+        + draw(roots)
     )
     if draw(st.booleans()):  # break it somewhere, sometimes
         cut = draw(st.integers(0, len(source)))
@@ -143,24 +198,55 @@ def _reference(data: bytes | str) -> ET.Element | None:
         return None
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=xml_documents())
+NAME_RE = re.compile(rb"<([^\s/>]+)")
+EMPTY_TAG_RE = re.compile(rb"""<[^\s/>]+(?:\s+[^\s=/>]+\s*=\s*(?:"[^"]*"|'[^']*'))*\s*/>""")
+
+
+def _check_offsets(parsed) -> None:
+    """Every element has its offsets, in document order, at its own tags."""
+    assert list(parsed.starts) == list(parsed.root.iter())
+    assert parsed.ends.keys() == parsed.starts.keys()
+    source = parsed.decoded[0].encode("utf-8")
+    for elem, start in parsed.starts.items():
+        end = parsed.ends[elem]
+        if source[start] == ord("&"):  # from an entity's replacement text
+            assert source[end] == ord("&")
+            continue
+        tag = NAME_RE.match(source, start)
+        assert tag is not None
+        name = tag.group(1)
+        assert name.split(b":")[-1].decode("utf-8") == _localname(elem.tag)
+        # an end tag of that name, or the end of an empty element's one tag
+        assert source.startswith(b"</" + name, end) or EMPTY_TAG_RE.fullmatch(source, start, end)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    data=st.one_of(
+        xml_documents(), xml_documents(roots=opf_roots()), xml_documents(roots=container_roots())
+    )
+)
 def test_strict_parse_builds_elementtrees_tree(data):
     try:
         text = decode_xml(data)[0]
     except Undecodable:  # a junk character cut the encoding's name
+        with pytest.raises(Undecodable):
+            parse_xml(data)
         return
     expected = _reference(text)
     try:
-        document = content._parse_xml(text)
-    except expat.ExpatError:
+        parsed = parse_xml(data)
+    except NotWellFormed:
         assert expected is None
         return
     assert expected is not None
-    assert len(document) == 1
-    assert _shape(document[0]) == _shape(expected)
+    assert _shape(parsed.root) == _shape(expected)
+    assert parsed.decoded == decode_xml(data)
+    _check_offsets(parsed)
+    document = parse_document(data)
+    assert document.starts is not None
     assert document.images == content_oracles._images(document)
-    assert len(document.starts) == len(document.images)
+    assert document.starts == [parsed.starts[e] for e in content_oracles._images(parsed.root)]
 
 
 @pytest.mark.parametrize(
@@ -193,13 +279,13 @@ def test_strict_parse_builds_elementtrees_tree(data):
 def test_edge_documents_as_elementtree_takes_them(prolog, body, accepted):
     data = f'{prolog}<html xmlns="{XHTML}"><body>{body}</body></html>'.encode("latin-1")
     assert (_reference(data) is not None) is accepted
-    text = decode_xml(data)[0]
     if accepted:
-        document = content._parse_xml(text)
-        assert _shape(document[0]) == _shape(_reference(data))
+        parsed = parse_xml(data)
+        assert _shape(parsed.root) == _shape(_reference(data))
+        _check_offsets(parsed)
     else:
-        with pytest.raises(expat.ExpatError):
-            content._parse_xml(text)
+        with pytest.raises(NotWellFormed):
+            parse_xml(data)
         assert parse_document(data).starts is None  # the lenient parse took it
 
 

@@ -8,16 +8,16 @@ add errors. A call-count test pins how often each artifact is read.
 from __future__ import annotations
 
 import codecs
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
-from xml.etree import ElementTree as ET
 
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import epubgen
-from altgen import content, package, pipeline
+from altgen import container, content, package, pipeline
 from altgen.audit import audit
 from altgen.pipeline import FileStatus, PipelineConfig, aggregate_results, run_repair
 
@@ -70,10 +70,26 @@ def books(draw) -> bytes:
         manifest=manifest,
         spine=spine,
     )
+    moved = draw(st.sampled_from([None, None, None, "dc:language", "metadata"]))
+    if moved is not None:
+        opf = _from_entity(opf, moved)
     return epubgen.build_zip(
         [("META-INF/container.xml", epubgen.container_xml()), *entries,
          ("OEBPS/content.opf", opf), *images]
     )
+
+
+def _from_entity(opf: bytes, name: str) -> bytes:
+    """The OPF with its first <name> element moved into the replacement text
+    of an internal entity, which is referenced where the element was."""
+    text = opf.decode("utf-8")
+    element = re.search(f"<{name}[ >].*?</{name}>", text, re.DOTALL)
+    if element is None:
+        return opf
+    text = text[: element.start()] + "&e;" + text[element.end() :]
+    value = element.group().replace('"', "'")  # the entity's value is in double quotes
+    doctype = f'<!DOCTYPE package [<!ENTITY e "{value}">]>\n'
+    return text.replace("?>\n", "?>\n" + doctype, 1).encode("utf-8")
 
 
 def _repair(book: bytes):
@@ -132,8 +148,8 @@ def test_each_artifact_read_once_and_modified_chapters_parsed_twice(tmp_path, mo
     count(pipeline, "open_epub", "open_epub")
     count(pipeline, "parse_opf", "parse_opf")
     count(content, "parse_document", "parse_document")
-    count(ET, "fromstring", "ET.fromstring")
-    count(package, "_parse_xml", "package._parse_xml")
+    for module in (container, content, package):
+        count(module, "parse_xml", "parse_xml")
 
     results, code = run_repair([book], PipelineConfig(jobs=1, output_dir=tmp_path / "out"))
     assert code == 0
@@ -145,8 +161,32 @@ def test_each_artifact_read_once_and_modified_chapters_parsed_twice(tmp_path, mo
         "parse_opf": 1,
         # three chapters, then the check of the one written
         "parse_document": 4,
-        # container.xml; no chapter goes through ElementTree
-        "ET.fromstring": 1,
-        # the OPF, whose edits are spliced into its bytes without a parse
-        "package._parse_xml": 1,
+        # container.xml, the OPF (whose edits are spliced into its text
+        # without a parse), and each parse_document
+        "parse_xml": 6,
     }
+
+
+def test_metadata_from_an_entity_fails_its_book_with_a_typed_error(tmp_path):
+    # enrichment must rewrite an invalid dc:language, or add one to a
+    # <metadata>, but the element came from an entity and has no tags of
+    # its own in the OPF to write into
+    prose = _PROSE * 6 + '<img src="images/fox.png"/>'
+    manifest = [("c1", "ch1.xhtml", "application/xhtml+xml"), ("fox", "images/fox.png", "image/png")]
+    for language, moved, named in (
+        ("not a tag!", "dc:language", "the OPF's dc:language 'not a tag!'"),
+        (None, "metadata", "the OPF's <metadata>"),
+    ):
+        opf = epubgen.opf(language=language, manifest=manifest, spine=["c1"])
+        book = epubgen.build_zip(
+            [("META-INF/container.xml", epubgen.container_xml()),
+             ("OEBPS/ch1.xhtml", epubgen.page(prose)),
+             ("OEBPS/content.opf", _from_entity(opf, moved)),
+             ("OEBPS/images/fox.png", epubgen.tiny_png())]
+        )
+        path = tmp_path / f"{moved}.epub"
+        path.write_bytes(book)
+        results, code = run_repair([path], PipelineConfig(jobs=1, output_dir=tmp_path / "out"))
+        assert code == 2
+        assert results[0].status is FileStatus.FAILED
+        assert results[0].failure_reason == f"{named} has no start tag of its own"

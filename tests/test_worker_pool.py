@@ -186,6 +186,44 @@ def test_dead_worker_is_a_pipeline_error(command, task, tmp_path, monkeypatch, c
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(), reason="no forkserver"
+)
+def test_pool_workers_take_altgen_epoch_from_the_caller(tmp_path):
+    # a forkserver keeps the environment it was started with: the first
+    # pooled audit starts it without ALTGEN_EPOCH, and the second, with the
+    # variable set, must still read a frozen clock in every worker
+    src = _pooled_corpus(tmp_path / "corpus")
+    script = (
+        "import multiprocessing, os, sys\n"
+        "multiprocessing.set_start_method('forkserver')\n"
+        "from altgen import pipeline\n"
+        "from altgen.pipeline import PipelineConfig, run_audit\n"
+        "run_pool = pipeline._run_pool\n"
+        "def announced(*args):\n"
+        "    print('pooled', file=sys.stderr)\n"
+        "    return run_pool(*args)\n"
+        "pipeline._run_pool = announced\n"
+        "for epoch in (None, '0'):\n"
+        "    if epoch is not None:\n"
+        "        os.environ['ALTGEN_EPOCH'] = epoch\n"
+        "    results, _ = run_audit([sys.argv[1]], PipelineConfig(jobs=2))\n"
+        "    print(' '.join(repr(r.elapsed_seconds) for r in results))\n"
+    )
+    env = _env()
+    del env["ALTGEN_EPOCH"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(src)],
+        env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["pooled", "pooled"]
+    running, frozen = (line.split() for line in proc.stdout.splitlines())
+    assert len(frozen) == len(running) >= 2 * CPU_BOOKS_PER_WORKER
+    assert any(float(t) > 0 for t in running)
+    assert set(frozen) == {"0.0"}
+
+
 FAULT_ENTRY = "OEBPS/fault.txt"
 _AUDIT_ONE, _REPAIR_TASK = pipeline._audit_one, pipeline._repair_task
 
@@ -199,10 +237,9 @@ def _audit_or_fault(archive, pkg, images=None):
 
 def _as_in_test_process() -> None:
     """A pool worker that did not fork from this test (spawn, or a forkserver
-    an earlier test started) has neither the patched audit nor ALTGEN_EPOCH;
-    the test's pool tasks set both in their worker."""
+    an earlier test started) lacks the patched audit; the test's pool tasks
+    set it in their worker. The pool itself gives them ALTGEN_EPOCH."""
     pipeline.audit = _audit_or_fault
-    os.environ["ALTGEN_EPOCH"] = "0"
 
 
 def _faulty_audit_one(path):
@@ -217,7 +254,7 @@ def _faulty_repair_task(item, config):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("command", ["audit", "repair"])
-def test_internal_error_fails_only_its_book(command, jobs, tmp_path, monkeypatch, capsys):
+def test_internal_error_fails_only_its_book(command, jobs, tmp_path, monkeypatch, capfd):
     src = _pooled_corpus(tmp_path / "corpus")
     monkeypatch.setenv("ALTGEN_EPOCH", "0")
     monkeypatch.setattr(pipeline, "audit", _audit_or_fault)
@@ -229,17 +266,25 @@ def test_internal_error_fails_only_its_book(command, jobs, tmp_path, monkeypatch
         if command == "repair":
             argv += ["-o", str(out)]
         code = main(argv)
-        report = json.loads(capsys.readouterr().out)
+        out, err = capfd.readouterr()
+        report = json.loads(out)
         for row in report["files"]:
             row.pop("output_path", None)
-        return code, report
+        return code, report, err
 
-    clean_code, clean = run(tmp_path / "clean")
+    clean_code, clean, clean_err = run(tmp_path / "clean")
     (src / "fault.epub").write_bytes(epubgen.make_book(extra_entries=[(FAULT_ENTRY, b"")]))
-    code, faulty = run(tmp_path / "faulty")
+    code, faulty, err = run(tmp_path / "faulty")
 
     assert clean_code != 2
     assert code == 2
+    # the traceback, which the report leaves out, goes to stderr: once, and
+    # naming the book and the function that raised
+    assert "Traceback" not in clean_err
+    assert err.count("Traceback (most recent call last):") == 1
+    assert f"altgen: internal error on {src / 'fault.epub'}:" in err
+    assert ", in _audit_or_fault\n" in err
+    assert err.rstrip().endswith("RecursionError: maximum recursion depth exceeded")
     [failed] = [row for row in faulty["files"] if row["input_path"].endswith("fault.epub")]
     assert failed["status"] == "Failed"
     assert failed["reason"] == "internal error: RecursionError: maximum recursion depth exceeded"
