@@ -160,43 +160,20 @@ def audit(
         files_scanned += 1
         occurrences = _find_images(entry, href) if images is None else images[href]
         if occurrences is None:
-            issues.append(
-                _issue(
-                    IssueCode.UNPARSEABLE_DOCUMENT,
-                    href,
-                    None,
-                    "document could not be parsed",
-                )
-            )
+            message = "document could not be parsed"
+            issues.append(_issue(IssueCode.UNPARSEABLE_DOCUMENT, href, None, message))
             continue
         for occ in occurrences:
+            src, found = occ.src or "(no src)", []
             if not occ.decorative and occ.existing_alt is None:
-                issues.append(
-                    _issue(
-                        IssueCode.IMG_MISSING_ALT,
-                        occ.doc_path,
-                        occ.element_index,
-                        f"image {occ.src or '(no src)'} has no alt attribute",
-                    )
-                )
+                found.append((IssueCode.IMG_MISSING_ALT, f"image {src} has no alt attribute"))
             elif not occ.decorative and occ.existing_alt == "":
-                issues.append(
-                    _issue(
-                        IssueCode.IMG_EMPTY_ALT_NON_DECORATIVE,
-                        occ.doc_path,
-                        occ.element_index,
-                        f"image {occ.src or '(no src)'} has empty alt without a decorative role",
-                    )
-                )
+                message = f"image {src} has empty alt without a decorative role"
+                found.append((IssueCode.IMG_EMPTY_ALT_NON_DECORATIVE, message))
             if not has_scheme(occ.src) and (not occ.src or archive.entry(occ.src) is None):
-                issues.append(
-                    _issue(
-                        IssueCode.DANGLING_IMAGE_RESOURCE,
-                        occ.doc_path,
-                        occ.element_index,
-                        f"image src {occ.src or '(no src)'} resolves to no archive entry",
-                    )
-                )
+                message = f"image src {src} resolves to no archive entry"
+                found.append((IssueCode.DANGLING_IMAGE_RESOURCE, message))
+            issues += (_issue(code, occ.doc_path, occ.element_index, m) for code, m in found)
 
     issues.extend(_package_issues(pkg))
     issues.sort(
@@ -210,44 +187,17 @@ def audit(
 
 
 def _package_issues(pkg: PackageDocument) -> list[Issue]:
-    issues = []
+    found = []
     languages = pkg.values(MetaKind.DC_LANGUAGE)
     if not languages:
-        issues.append(
-            _issue(
-                IssueCode.MISSING_DC_LANGUAGE,
-                PACKAGE_LOCATION,
-                None,
-                "package declares no dc:language",
-            )
-        )
-    else:
-        for value in languages:
-            if not is_well_formed_language_tag(value.strip()):
-                issues.append(
-                    _issue(
-                        IssueCode.INVALID_LANGUAGE_TAG,
-                        PACKAGE_LOCATION,
-                        None,
-                        f"dc:language value {value!r} is not a well-formed BCP 47 tag",
-                    )
-                )
+        found.append((IssueCode.MISSING_DC_LANGUAGE, "package declares no dc:language"))
+    for value in languages:
+        if not is_well_formed_language_tag(value.strip()):
+            message = f"dc:language value {value!r} is not a well-formed BCP 47 tag"
+            found.append((IssueCode.INVALID_LANGUAGE_TAG, message))
     if not pkg.accessibility_values("accessMode"):
-        issues.append(
-            _issue(
-                IssueCode.MISSING_ACCESSIBILITY_METADATA,
-                PACKAGE_LOCATION,
-                None,
-                "package declares no schema:accessMode metadata",
-            )
-        )
+        message = "package declares no schema:accessMode metadata"
+        found.append((IssueCode.MISSING_ACCESSIBILITY_METADATA, message))
     if not any(v.strip() for v in pkg.values(MetaKind.DC_TITLE)):
-        issues.append(
-            _issue(
-                IssueCode.MISSING_DC_TITLE,
-                PACKAGE_LOCATION,
-                None,
-                "package declares no dc:title",
-            )
-        )
-    return issues
+        found.append((IssueCode.MISSING_DC_TITLE, "package declares no dc:title"))
+    return [_issue(code, PACKAGE_LOCATION, None, message) for code, message in found]

@@ -53,7 +53,7 @@ def _load_config_file(path: str) -> dict:
         expected = _CONFIG_KEYS.get(key)
         if expected is None:
             raise PipelineError(f"unknown config key {key!r}")
-        if not isinstance(value, expected):
+        if type(value) is not expected:  # True is an int to isinstance
             raise PipelineError(f"config key {key!r} must be {expected.__name__}")
     return parsed
 

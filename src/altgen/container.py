@@ -3,10 +3,14 @@
 The model is deliberately dumb: an ordered list of entries plus the
 rootfile path from META-INF/container.xml. Round-tripping preserves entry
 order, per-entry compression method, and decompressed content exactly;
-compressed byte streams are regenerated on write. Every XML part
-(chapters, the OPF, container.xml, SVG images) is decoded by decode_xml
-and read by parse_xml, the one strict parser; splice writes edits into
-that text, so everything else in the part keeps its bytes.
+compressed byte streams are regenerated on write. An archive is never
+edited or copied for a repair: reconstruct.rebuild writes its entries with
+the modified ones in their place. Every XML part (chapters, the OPF,
+container.xml, SVG images) is decoded by decode_xml and read by parse_xml,
+the one strict parser, whose tree holds no reference cycle and so is freed
+with its last reference; content.parse_document wraps it in a
+ParsedDocument. splice writes edits into that text, so everything else in
+the part keeps its bytes.
 """
 
 from __future__ import annotations
@@ -131,15 +135,6 @@ class EpubArchive:
     def entry(self, path: str) -> ArchiveEntry | None:
         i = self._position(path)
         return None if i is None else self.entries[i]
-
-    def replace_entry(self, entry: ArchiveEntry) -> None:
-        i = self._position(entry.path)
-        if i is None:
-            raise KeyError(entry.path)
-        self.entries[i] = entry
-
-    def copy(self) -> "EpubArchive":
-        return EpubArchive([replace(e) for e in self.entries], self.rootfile_path)
 
 
 def _validate_entry_path(path: str) -> str | None:
@@ -365,7 +360,22 @@ def parse_xml(data: bytes) -> ParsedXml:
         parser.Parse(decoded[0], True)
     except expat.ExpatError as exc:
         raise NotWellFormed(str(exc)) from exc
+    finally:
+        # start and end hold the parser, which holds them; unset, the tree
+        # is freed with its last reference, not by the cycle collector
+        parser.StartElementHandler = parser.EndElementHandler = None
     return ParsedXml(builder.close(), decoded, starts, ends, declared)
+
+
+def char_offsets(text: str, offsets: list[int]) -> list[int]:
+    """The character offset in `text` of each UTF-8 offset parse_xml gave
+    for it, taken in increasing order."""
+    utf8, out, at, pos = text.encode("utf-8"), [], 0, 0
+    for offset in offsets:
+        pos += len(utf8[at:offset].decode("utf-8"))
+        at = offset
+        out.append(pos)
+    return out
 
 
 def is_well_formed(data: bytes) -> bool:

@@ -4,10 +4,13 @@ splice alt attributes back in without disturbing the rest of the file.
 One parse locates every image. Strict XML goes through container.parse_xml,
 which records where each element's start tag is in the text
 container.decode_xml gives for the bytes; tag soup goes through
-html.parser, which gives each image's start tag as it reads it. There is
-no second scan of the source: alt writes go into that text (not a
-re-serialized DOM) at the start tags the parse located, through
-container.splice, so untouched markup keeps its bytes.
+html.parser, which gives each image's start tag as it reads it. Either way
+parse_document returns a ParsedDocument, a plain value: the tree (tag
+soup's under a synthetic '#document' root), its images in document order,
+each image's start tag as a (first, last) span in the decoded text, that
+text, and whether the parse was strict. There is no second scan of the
+source: alt writes go into that text (not a re-serialized DOM) at those
+spans, through container.splice, so untouched markup keeps its bytes.
 
 Repair handles a document in a single pass (ContentDocument): it is decoded
 and parsed once, every target's context comes from one tree walk, every alt
@@ -27,10 +30,11 @@ import functools
 import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
 from altgen.container import XML_START_TAG_RE, ArchiveEntry, NotWellFormed, _localname
-from altgen.container import decode_xml, is_well_formed, parse_xml, splice
+from altgen.container import char_offsets, decode_xml, is_well_formed, parse_xml, splice
 from altgen.errors import AltgenError
 from altgen.package import MetaKind, PackageDocument, escape, resolve_href
 
@@ -97,20 +101,18 @@ _VOID_TAGS = frozenset(
 )
 
 
-class _Document(ET.Element):
-    """The synthetic '#document' wrapper parse_document returns, with its
-    image elements in document order (`images`) and where each one's start
-    tag is in the source. A strict parse gives `starts`, each start tag's
-    offset as parse_xml records it. A lenient parse gives `spans`, each
-    start tag's (first, last) character offsets in the text. `decoded` is
-    the (text, codec, bom) decode_xml gave for the parse."""
+class ParsedDocument(NamedTuple):
+    """`images` are the image elements under `root` in document order, and
+    `tags` each one's start tag as its (first, last) character offsets in
+    the decoded text, or None when an entity put it there. `decoded` is the
+    (text, codec, bom) decode_xml gave, and `strict` says the parse was not
+    tag soup's."""
 
-    def __init__(self, images: list[ET.Element], decoded, starts=None, spans=None) -> None:
-        super().__init__("#document")
-        self.images = images
-        self.decoded: tuple[str, str, bytes] = decoded
-        self.starts: list[int] | None = starts
-        self.spans: list[tuple[int, int]] | None = spans
+    root: ET.Element
+    images: list[ET.Element]
+    tags: list[tuple[int, int] | None]
+    decoded: tuple[str, str, bytes]
+    strict: bool
 
 
 @functools.lru_cache(maxsize=1024)
@@ -119,15 +121,18 @@ def _is_image(tag: str) -> bool:
 
 
 class _LenientBuilder(HTMLParser):
-    """Builds an ElementTree from tag soup; mismatched end tags are dropped,
-    void elements never stay open. `root` is a _Document."""
+    """Builds an ElementTree from tag soup, under a synthetic '#document'
+    root; mismatched end tags are dropped, void elements never stay open.
+    `images` and `tags` are as ParsedDocument has them."""
 
-    def __init__(self, decoded: tuple[str, str, bytes]) -> None:
+    def __init__(self, text: str) -> None:
         super().__init__(convert_charrefs=True)
-        self.root = _Document([], decoded, spans=[])
+        self.root = ET.Element("#document")
+        self.images: list[ET.Element] = []
+        self.tags: list[tuple[int, int]] = []
         self._stack: list[ET.Element] = [self.root]
         # offset in the text, which will be fed, of each line getpos() counts
-        self._lines = [0, *(match.end() for match in re.finditer("\n", decoded[0]))]
+        self._lines = [0, *(match.end() for match in re.finditer("\n", text))]
 
     @staticmethod
     def _attr_dict(attrs: list[tuple[str, str | None]]) -> dict[str, str]:
@@ -141,8 +146,8 @@ class _LenientBuilder(HTMLParser):
         if _is_image(tag):
             line, column = self.getpos()
             start = self._lines[line - 1] + column
-            self.root.images.append(elem)
-            self.root.spans.append((start, start + len(self.get_starttag_text()) - 1))
+            self.images.append(elem)
+            self.tags.append((start, start + len(self.get_starttag_text()) - 1))
         return elem
 
     def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
@@ -168,32 +173,32 @@ class _LenientBuilder(HTMLParser):
             current.text = (current.text or "") + data
 
 
-def parse_document(data: bytes) -> _Document:
+def parse_document(data: bytes) -> ParsedDocument:
     """Parse strict XML, falling back to lenient HTML, whose text a meta
-    charset may decode. Returns a synthetic '#document' wrapper element,
-    which also lists the image elements, locates their start tags and holds
-    the decoded text (_Document). Raises UnparseableDocument."""
+    charset may decode. Raises UnparseableDocument."""
     try:
         parsed = parse_xml(data)
     except NotWellFormed:
         try:
             decoded = decode_xml(data, meta=True)
-            builder = _LenientBuilder(decoded)
+            builder = _LenientBuilder(decoded[0])
             builder.feed(decoded[0])
             builder.close()
         except Exception as exc:  # Undecodable; HTMLParser rarely raises, but never crash
             raise UnparseableDocument(str(exc)) from exc
-        return builder.root
+        return ParsedDocument(builder.root, builder.images, builder.tags, decoded, False)
     images = [elem for elem in parsed.starts if _is_image(elem.tag)]
-    root = _Document(images, parsed.decoded, starts=[parsed.starts[elem] for elem in images])
-    root.append(parsed.root)
-    return root
+    text, tags = parsed.decoded[0], []
+    for first in char_offsets(text, [parsed.starts[elem] for elem in images]):
+        match = XML_START_TAG_RE.match(text, first)  # None at an entity reference
+        tags.append(None if match is None else (first, match.end() - 1))
+    return ParsedDocument(parsed.root, images, tags, parsed.decoded, True)
 
 
-def _occurrences(root: _Document, doc_path: str) -> list[ImageOccurrence]:
+def _occurrences(images: list[ET.Element], doc_path: str) -> list[ImageOccurrence]:
     base_dir = doc_path.rsplit("/", 1)[0] if "/" in doc_path else ""
     occurrences = []
-    for index, elem in enumerate(root.images):
+    for index, elem in enumerate(images):
         if _localname(elem.tag) == "img":
             src = elem.get("src", "")
         else:
@@ -466,7 +471,7 @@ class VisibleText:
 def document_text(doc: ArchiveEntry, limit: int | None = None) -> str:
     """Whole-document visible text, whitespace-normalized; script/style
     content excluded; see VisibleText. Raises UnparseableDocument."""
-    return VisibleText(parse_document(doc.data), limit).text(limit)
+    return VisibleText(parse_document(doc.data).root, limit).text(limit)
 
 
 # --- alt attribute splicing over raw source text ---
@@ -513,10 +518,10 @@ class ContentDocument:
     def __init__(self, doc: ArchiveEntry, doc_path: str | None = None) -> None:
         self.doc = doc
         self.doc_path = doc.path if doc_path is None else doc_path
-        root = parse_document(doc.data)
-        self._root: _Document | None = root
-        self._decoded, self._starts, self._spans = root.decoded, root.starts, root.spans
-        self.images = _occurrences(root, self.doc_path)
+        parsed = parse_document(doc.data)
+        self._root: ET.Element | None = parsed.root
+        self._tags, self._decoded, self._strict = parsed.tags, parsed.decoded, parsed.strict
+        self.images = _occurrences(parsed.images, self.doc_path)
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < len(self.images):
@@ -543,19 +548,11 @@ class ContentDocument:
         """The source with each image index in `alts` given its alt, written
         into the image's start tag. Raises DocumentError for an image that
         has no start tag of its own in the source."""
-        text = self._decoded[0]
-        utf8, edits, at, pos = text.encode("utf-8"), [], 0, 0
+        edits = []
         for i in sorted(alts):
-            if self._spans is not None:
-                first, last = self._spans[i]
-            else:  # the strict parse located the tag by its UTF-8 offset
-                pos += len(utf8[at : self._starts[i]].decode("utf-8"))
-                at = self._starts[i]
-                match = XML_START_TAG_RE.match(text, pos)
-                if match is None:
-                    raise DocumentError(f"{self.doc_path}: image index {i} has no start tag")
-                first, last = pos, match.end() - 1
-            edits.append(_alt_tag_body(text, first, last, alts[i]))
+            if self._tags[i] is None:
+                raise DocumentError(f"{self.doc_path}: image index {i} has no start tag")
+            edits.append(_alt_tag_body(self._decoded[0], *self._tags[i], alts[i]))
         return splice(self._decoded, edits)
 
     def can_be_well_formed(self, indices: list[int]) -> bool:
@@ -563,7 +560,7 @@ class ContentDocument:
         document well-formed XML: its parse was lenient, and a strict parse
         still fails with a placeholder alt spliced at each. An alt's value
         changes the verdict only by holding characters XML does not allow."""
-        return self._starts is not None or is_well_formed(
+        return self._strict or is_well_formed(
             self._spliced(dict.fromkeys(indices, "alt"))
         )
 
@@ -581,10 +578,10 @@ class ContentDocument:
                 raise ValueError("empty alt is only allowed for decorative images")
         self._root = None
         data = self._spliced(alts)
-        root = parse_document(data)
-        images = _occurrences(root, self.doc_path)
+        parsed = parse_document(data)
+        images = _occurrences(parsed.images, self.doc_path)
         if len(images) != len(self.images) or any(
             images[index].existing_alt != alt for index, alt in alts.items()
         ):
             raise RewriteFailed(f"{self.doc_path}: alt splice verification failed")
-        return self.doc.with_data(data, well_formed=root.starts is not None), images
+        return self.doc.with_data(data, well_formed=parsed.strict), images

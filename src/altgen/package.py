@@ -20,7 +20,7 @@ from urllib.parse import unquote, urlsplit
 from xml.etree import ElementTree as ET
 
 from altgen.container import XML_START_TAG_RE, ArchiveEntry, InvariantViolation, NotWellFormed
-from altgen.container import _localname, parse_xml, splice
+from altgen.container import _localname, char_offsets, parse_xml, splice
 from altgen.errors import AltgenError
 
 OPF_NS = "http://www.idpf.org/2007/opf"
@@ -316,14 +316,12 @@ def serialize_opf(doc: PackageDocument) -> bytes:
     replacement text, which has no tags of its own to write into.
     """
     text = doc.decoded[0]
-    utf8 = text.encode("utf-8")
 
     def element(span: tuple[int, ...], name: str) -> tuple[int, int, str]:
         # (first, last, end tag): the element's content is text[first:last];
         # for an empty element that is its "/>", and the end tag is the one
         # it needs once opened
-        start = len(utf8[: span[0]].decode("utf-8"))
-        end = start + len(utf8[span[0] : span[1]].decode("utf-8"))
+        start, end = char_offsets(text, span[:2])
         tag = XML_START_TAG_RE.match(text, start)
         if tag is None:
             raise PackageError(f"the OPF's {name} has no start tag of its own")

@@ -556,6 +556,9 @@ def run_audit(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fil
 def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[FileResult], int]:
     if config.output_dir is None:
         raise PipelineError("repair requires an output directory")
+    low, high = backend.MIN_MAX_LENGTH, backend.MAX_MAX_LENGTH
+    if not low <= config.max_alt_length <= high:
+        raise PipelineError(f"max_alt_length {config.max_alt_length} outside [{low}, {high}]")
     files = collect_epub_paths(paths)
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -616,47 +619,46 @@ def load_references(path: Path) -> list[dict]:
     return parsed
 
 
+def _written_alts(
+    repaired_dir: Path, epub: str, doc: str, archives: dict[str, EpubArchive | None]
+) -> list[str | None]:
+    """The alt of each image of document `doc` in book `epub`, in document
+    order; empty when either cannot be read. `archives` keeps each book
+    opened, None for one that cannot be."""
+    if epub not in archives:
+        try:
+            archives[epub] = open_epub((repaired_dir / epub).read_bytes())
+        except (AltgenError, OSError):
+            archives[epub] = None
+    entry = archives[epub].entry(doc) if archives[epub] is not None else None
+    try:
+        return [occ.existing_alt for occ in find_images(entry, doc)] if entry else []
+    except AltgenError:
+        return []
+
+
 def run_validate(
     repaired_dir: str | Path, references: str | Path, config: PipelineConfig
 ) -> tuple[MetricReport, int]:
     repaired_dir = Path(repaired_dir)
     if not repaired_dir.is_dir():
         raise PipelineError(f"not a directory: {repaired_dir}")
+    if config.bleu_max_n < 1:
+        raise PipelineError(f"bleu_max_n {config.bleu_max_n} is below 1")
     refs = load_references(Path(references))
     client = make_backend(config)
 
     archives: dict[str, EpubArchive | None] = {}
-    occurrences_cache: dict[tuple[str, str], list] = {}
+    alts_by_doc: dict[tuple[str, str], list[str | None]] = {}
     pairs: list[tuple[str, str]] = []
     missing = 0
     for ref in refs:
-        epub_name = ref["epub"]
-        if epub_name not in archives:
-            epub_path = repaired_dir / epub_name
-            try:
-                archives[epub_name] = open_epub(epub_path.read_bytes())
-            except (AltgenError, OSError):
-                archives[epub_name] = None
-        archive = archives[epub_name]
-        if archive is None:
-            missing += 1
-            continue
-        key = (epub_name, ref["doc"])
-        if key not in occurrences_cache:
-            entry = archive.entry(ref["doc"])
-            if entry is None:
-                occurrences_cache[key] = []
-            else:
-                try:
-                    occurrences_cache[key] = find_images(entry, ref["doc"])
-                except AltgenError:
-                    occurrences_cache[key] = []
-        occs = occurrences_cache[key]
-        index = ref["index"]
-        if not isinstance(index, int) or index < 0 or index >= len(occs):
-            missing += 1
-            continue
-        written = occs[index].existing_alt
+        key = (ref["epub"], ref["doc"])
+        if key not in alts_by_doc:
+            alts_by_doc[key] = _written_alts(repaired_dir, *key, archives)
+        alts, index = alts_by_doc[key], ref["index"]
+        # JSON gives exact types: true and false are bools, not ints
+        written = alts[index] if type(index) is int and 0 <= index < len(alts) else None
         if not written:
             missing += 1
             continue
@@ -667,7 +669,7 @@ def run_validate(
     if stored and isinstance(stored.get("files"), list):
         for row in stored["files"]:
             value = row.get("elapsed_seconds")
-            if isinstance(value, (int, float)):
+            if type(value) in (int, float):
                 timings.append(float(value))
 
     if pairs:
@@ -691,7 +693,7 @@ def run_validate(
         aggregate = stored["aggregate"]
         pre = aggregate.get("pre_errors")
         post = aggregate.get("post_errors")
-        if isinstance(pre, int) and isinstance(post, int):
+        if type(pre) is int and type(post) is int:
             report.err_percent, report.no_baseline = error_reduction_rate(pre, post)
             if post > 0:
                 exit_code = 1

@@ -1,4 +1,10 @@
-"""Structural integrity checking and final assembly of a repaired EPUB."""
+"""Structural integrity checking and final assembly of a repaired EPUB.
+
+rebuild takes the archive as opened and the entries a repair changed. It
+checks and writes the archive's entries in order, each modified one in the
+place of the entry with its path, without copying the archive, which it
+leaves as it was.
+"""
 
 from __future__ import annotations
 
@@ -121,8 +127,8 @@ def rebuild(
     pkg: PackageDocument,
     modified_docs: list[ArchiveEntry] | None = None,
 ) -> bytes:
-    """Assemble output bytes: swap in the modified entries, check integrity,
-    write.
+    """Assemble output bytes: the archive's entries with the modified ones
+    in their place, checked for integrity, then written.
 
     `modified_docs` holds every entry that differs from the archive's, the
     OPF included: a caller that changed the package passes the OPF entry
@@ -131,9 +137,11 @@ def rebuild(
     or the OPF is missing, KeyError for a modified entry whose path is not
     in the archive.
     """
-    result = archive.copy()
-    for doc in modified_docs or ():
-        result.replace_entry(doc)
+    modified = {doc.path: doc for doc in modified_docs or ()}
+    entries = [modified.pop(entry.path, entry) for entry in archive.entries]
+    if modified:
+        raise KeyError(next(iter(modified)))
+    result = EpubArchive(entries, archive.rootfile_path)
 
     if result.entry(result.rootfile_path) is None:
         raise IntegrityErrors(

@@ -68,7 +68,7 @@ def _head_window(parts: list[str], limit: int = CONTEXT_WINDOW) -> str:
 def context(data: bytes, index: int, title: str | None) -> ContextBundle:
     """Context of image `index`: parse, find its figure's figcaption through
     a parent map, then walk the whole tree once for this image alone."""
-    root = parse_document(data)
+    root = parse_document(data).root
     target = _images(root)[index]
     parents = {child: parent for parent in root.iter() for child in parent}
 
@@ -186,8 +186,8 @@ def set_alt(data: bytes, index: int, alt: str) -> bytes:
     else:
         body = body + replacement if body and body[-1].isspace() else body + " " + replacement
     out = (text[:body_start] + body + text[body_end:]).encode("utf-8")
-    after = _images(parse_document(out))
-    if len(after) != len(_images(parse_document(data))) or after[index].get("alt") != alt:
+    after = _images(parse_document(out).root)
+    if len(after) != len(_images(parse_document(data).root)) or after[index].get("alt") != alt:
         raise AssertionError("reference splice failed verification")
     return out
 
@@ -208,7 +208,7 @@ def repair(
 def document_text(data: bytes, limit: int | None = None) -> str:
     """The recursive walk: same text and same cut-off as
     altgen.content.document_text, for documents of modest depth."""
-    root = parse_document(data)
+    root = parse_document(data).root
     parts: list[str] = []
     total = 0
 

@@ -59,6 +59,14 @@ class TestBuildConfig:
         with pytest.raises(PipelineError, match="must be int"):
             build_config(parse(["audit", str(clean_book), "--config", str(cfg)]))
 
+    @pytest.mark.parametrize("key", ["jobs", "max_alt_length", "bleu_max_n"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_config_file_boolean_is_not_an_int(self, tmp_path, clean_book, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        with pytest.raises(PipelineError, match=f"config key '{key}' must be int"):
+            build_config(parse(["audit", str(clean_book), "--config", str(cfg)]))
+
     def test_config_file_not_object(self, tmp_path, clean_book):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]", encoding="utf-8")
@@ -141,6 +149,23 @@ class TestRepairCommand:
         occs = find_images(repaired.entry("OEBPS/ch1.xhtml"), "OEBPS/ch1.xhtml")
         assert occs[0].existing_alt
         assert len(occs[0].existing_alt) <= 30
+
+    @pytest.mark.parametrize("length", [5, 19, 1001])
+    def test_max_alt_length_out_of_range_exit_two(self, tmp_path, capsys, length):
+        book = write_defective(tmp_path / "story.epub")
+        out = tmp_path / "out"
+        assert main(["repair", str(book), "-o", str(out), "--max-alt-length", str(length)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"altgen: error: max_alt_length {length} outside [20, 1000]\n"
+        assert captured.out == ""
+        assert not out.exists()  # failed before any book was read
+
+    def test_max_alt_length_bounds_accepted(self, tmp_path, capsys):
+        book = write_defective(tmp_path / "story.epub")
+        for length in ("20", "1000"):
+            out = tmp_path / length
+            assert main(["repair", str(book), "-o", str(out), "--max-alt-length", length]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_clean_book_line(self, clean_book, tmp_path, capsys):
         out = tmp_path / "out"
@@ -252,6 +277,49 @@ class TestValidateCommand:
         capsys.readouterr()
         assert main(["validate", str(out), "--references", str(refs)]) == 2
         assert capsys.readouterr().err == f'altgen: error: reference 1: "{key}" must be a string\n'
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_bleu_max_n_below_one_exit_two(self, tmp_path, capsys, max_n):
+        out, refs = self._repaired(tmp_path)
+        capsys.readouterr()
+        code = main(["validate", str(out), "--references", str(refs), "--bleu-max-n", str(max_n)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"altgen: error: bleu_max_n {max_n} is below 1\n"
+        assert captured.out == ""
+
+    def test_boolean_index_is_a_missing_reference(self, tmp_path, capsys):
+        out, refs = self._repaired(tmp_path)
+        rows = json.loads(refs.read_text(encoding="utf-8"))
+        rows[0]["index"] = False  # not image 0
+        refs.write_text(json.dumps(rows), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(out), "--references", str(refs), "--report", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_pairs"] == 1
+        assert payload["missing_references"] == 1
+
+    def test_boolean_stored_timing_is_not_a_timing(self, tmp_path, capsys):
+        out, refs = self._repaired(tmp_path)
+        report = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
+        report["files"][0]["elapsed_seconds"] = True
+        (out / REPORT_FILENAME).write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(out), "--references", str(refs), "--report", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_files"] == 0
+        assert payload["seconds_per_file"] is None
+
+    def test_boolean_stored_error_counts_are_not_counts(self, tmp_path, capsys):
+        out, refs = self._repaired(tmp_path)
+        report = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
+        report["aggregate"].update(pre_errors=True, post_errors=True)
+        (out / REPORT_FILENAME).write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(out), "--references", str(refs), "--report", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["err_percent"] is None
+        assert payload["no_baseline"] is False
 
     def test_bleu_flags_pass_through(self, tmp_path, capsys):
         out, refs = self._repaired(tmp_path)

@@ -300,7 +300,7 @@ def test_round_trip_preserves_content_and_order(clean_book_bytes):
 
 def test_write_is_deterministic(clean_book_bytes):
     arc = open_epub(clean_book_bytes)
-    assert write_epub(arc) == write_epub(arc.copy())
+    assert write_epub(arc) == write_epub(open_epub(clean_book_bytes))
 
 
 def test_written_archive_has_mimetype_first_stored(clean_book_bytes):
@@ -325,15 +325,10 @@ def test_write_rejects_bad_entry_paths(clean_book_bytes):
         write_epub(arc)
 
 
-def test_replace_entry_unknown_path_raises(clean_book_bytes):
-    arc = open_epub(clean_book_bytes)
-    with pytest.raises(KeyError):
-        arc.replace_entry(ArchiveEntry(path="OEBPS/nope.xhtml", data=b""))
-
-
 def test_entry_lookup_follows_replacements_and_list_edits(clean_book_bytes):
     arc = open_epub(clean_book_bytes)
-    arc.replace_entry(arc.entry("OEBPS/ch1.xhtml").with_data(b"<x/>"))
+    entry = arc.entry("OEBPS/ch1.xhtml")
+    arc.entries[arc.entries.index(entry)] = entry.with_data(b"<x/>")
     assert arc.entry("OEBPS/ch1.xhtml").data == b"<x/>"
     arc.entries.reverse()
     assert arc.entry("OEBPS/ch1.xhtml").data == b"<x/>"
@@ -361,13 +356,6 @@ def test_well_formed_verdict_goes_with_its_bytes(clean_book_bytes):
     checked = entry.with_data(b"<html/>", well_formed=True)
     assert checked.well_formed is True
     assert checked.with_data(b"<html>").well_formed is None
-
-
-def test_copy_is_deep_for_entry_list(clean_book_bytes):
-    arc = open_epub(clean_book_bytes)
-    dup = arc.copy()
-    dup.replace_entry(dup.entry("OEBPS/ch1.xhtml").with_data(b"<x/>"))
-    assert arc.entry("OEBPS/ch1.xhtml").data != b"<x/>"
 
 
 _NAME_ALPHABET = st.text(

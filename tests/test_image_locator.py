@@ -5,7 +5,9 @@ start tags."""
 from __future__ import annotations
 
 import codecs
+import gc
 import re
+import weakref
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 
 import content_oracles
 import epubgen
-from altgen.container import ArchiveEntry, NotWellFormed, Undecodable, _localname, decode_xml
-from altgen.container import parse_xml
+from altgen.container import XML_START_TAG_RE, ArchiveEntry, NotWellFormed, Undecodable
+from altgen.container import _localname, decode_xml, parse_xml
 from altgen.content import ContentDocument, parse_document
 from altgen.errors import AltgenError
 
@@ -244,9 +246,61 @@ def test_strict_parse_builds_elementtrees_tree(data):
     assert parsed.decoded == decode_xml(data)
     _check_offsets(parsed)
     document = parse_document(data)
-    assert document.starts is not None
-    assert document.images == content_oracles._images(document)
-    assert document.starts == [parsed.starts[e] for e in content_oracles._images(parsed.root)]
+    assert document.strict
+    assert document.images == content_oracles._images(document.root)
+    _check_tags(document, [parsed.starts[e] for e in content_oracles._images(parsed.root)])
+
+
+def _check_tags(document, offsets: list[int]) -> None:
+    """Each image's span is the one start tag at its parse_xml offset, matched
+    whole and named as the image is; None only where an entity put it."""
+    text = document.decoded[0]
+    source = text.encode("utf-8")
+    assert len(document.tags) == len(document.images) == len(offsets)
+    for elem, tag, offset in zip(document.images, document.tags, offsets):
+        if tag is None:
+            assert source[offset] == ord("&")
+            continue
+        first, last = tag
+        assert len(text[:first].encode("utf-8")) == offset
+        assert XML_START_TAG_RE.fullmatch(text, first, last + 1)
+        name = NAME_RE.match(source, offset).group(1).decode("utf-8")
+        assert name.split(":")[-1] == _localname(elem.tag)
+
+
+@pytest.mark.parametrize(
+    "body, tags",
+    [
+        (
+            "<p>café\n<img src=a.png>\n<IMG SRC='b.png'\nalt=\"x > y\"><br></p>",
+            ["<img src=a.png>", "<IMG SRC='b.png'\nalt=\"x > y\">"],
+        ),
+        (
+            "<div>灯台<svg><image href=c.png /></svg><p>é<img src=d.png/></div>",
+            ["<image href=c.png />", "<img src=d.png/>"],
+        ),
+    ],
+)
+def test_tag_soup_spans_are_start_tags(body, tags):
+    document = parse_document(("<html><body>" + body).encode("utf-8"))
+    assert not document.strict
+    text = document.decoded[0]
+    assert [text[first : last + 1] for first, last in document.tags] == tags
+    assert len(document.images) == len(tags)
+
+
+def test_parsed_tree_is_freed_without_the_cycle_collector():
+    data = epubgen.page('<p>a <img src="images/a.png"/> b</p>')
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        parsed = parse_xml(data)
+        root = weakref.ref(parsed.root)
+        del parsed
+        assert root() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize(
@@ -286,7 +340,7 @@ def test_edge_documents_as_elementtree_takes_them(prolog, body, accepted):
     else:
         with pytest.raises(NotWellFormed):
             parse_xml(data)
-        assert parse_document(data).starts is None  # the lenient parse took it
+        assert not parse_document(data).strict  # the lenient parse took it
 
 
 # --- splice safety ---
@@ -363,7 +417,7 @@ def test_splice_touches_only_targeted_start_tags(chapter, data):
     except AltgenError:
         return
 
-    ids = [e.get("id") for e in content_oracles._images(parse_document(source))]
+    ids = [e.get("id") for e in content_oracles._images(parse_document(source).root)]
     cuts = sorted(spans[ids[i]] for i in alts)
     kept = [source[a:b] for a, b in zip([0] + [e for _, e in cuts], [s for s, _ in cuts] + [None])]
     # each targeted start tag became one start tag (a written alt is escaped,

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from altgen.container import MIMETYPE_PATH, open_epub
+from altgen.container import MIMETYPE_PATH, ArchiveEntry, open_epub
 from altgen.package import MetaEntry, MetaKind, parse_opf, serialize_opf
 from altgen.reconstruct import (
     FindingCode,
@@ -123,7 +123,7 @@ class TestIntegrityCheck:
     def test_modified_malformed_doc_flagged(self):
         archive, pkg = load(make_book())
         entry = archive.entry("OEBPS/ch1.xhtml")
-        archive.replace_entry(entry.with_data(b"<html><p></html>"))
+        archive.entries[archive.entries.index(entry)] = entry.with_data(b"<html><p></html>")
         findings = integrity_check(archive, pkg)
         assert findings == [
             IntegrityFinding(
@@ -260,6 +260,14 @@ class TestRebuild:
         ghost = replace(ghost, path="OEBPS/nope.xhtml")
         with pytest.raises(KeyError):
             rebuild(archive, pkg, modified_docs=[ghost])
+
+    def test_unknown_path_among_modified_raises(self):
+        archive, pkg = load(make_book())
+        known = archive.entry("OEBPS/ch1.xhtml").with_data(page("<p>new</p>"))
+        ghost = ArchiveEntry(path="OEBPS/nope.xhtml", data=b"")
+        with pytest.raises(KeyError) as excinfo:
+            rebuild(archive, pkg, modified_docs=[known, ghost])
+        assert excinfo.value.args == ("OEBPS/nope.xhtml",)
 
     def test_missing_rootfile_blocks(self):
         archive, pkg = load(make_book())
