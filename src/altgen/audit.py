@@ -3,6 +3,12 @@
 Eight fixed rules: seven content/metadata defects plus a Warning for
 documents that cannot be parsed at all. Auditing never raises on document
 content and never mutates the archive.
+
+read_documents is the one reader of a book's content documents: it parses
+each XHTML manifest item the archive holds once, in manifest order, and
+gives None for a document that cannot be parsed. audit reads the images of
+each document from it, and repair takes from the same parse the images, the
+language sample's text and the caption contexts.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping
 
-from altgen.container import ArchiveEntry, EpubArchive
-from altgen.content import ImageOccurrence, UnparseableDocument, find_images
+from altgen.container import EpubArchive
+from altgen.content import ContentDocument, ImageOccurrence, UnparseableDocument
 from altgen.package import (
     MetaKind,
     PackageDocument,
@@ -119,24 +125,23 @@ def is_well_formed_language_tag(tag: str) -> bool:
     return bool(tag) and _TAG_RE.match(tag) is not None
 
 
-def content_documents(
+def read_documents(
     archive: EpubArchive, pkg: PackageDocument
-) -> Iterator[tuple[str, ArchiveEntry]]:
-    """(href, entry) of each XHTML manifest item the archive holds, in
-    manifest order: the documents an audit scans."""
+) -> Iterator[tuple[str, ContentDocument | None]]:
+    """(href, document) of each XHTML manifest item the archive holds, in
+    manifest order: the documents an audit scans, each parsed once, and
+    None for one that cannot be parsed."""
     for item in pkg.manifest:
-        if item.media_type in XHTML_MEDIA_TYPES:
-            entry = archive.entry(item.href)
-            # integrity_check owns dangling manifest hrefs
-            if entry is not None:
-                yield item.href, entry
-
-
-def _find_images(entry: ArchiveEntry, href: str) -> list[ImageOccurrence] | None:
-    try:
-        return find_images(entry, href)
-    except UnparseableDocument:
-        return None
+        if item.media_type not in XHTML_MEDIA_TYPES:
+            continue
+        entry = archive.entry(item.href)
+        if entry is None:
+            continue  # integrity_check owns dangling manifest hrefs
+        try:
+            document = ContentDocument(entry, item.href)
+        except UnparseableDocument:
+            document = None
+        yield item.href, document
 
 
 def audit(
@@ -146,19 +151,20 @@ def audit(
 ) -> AuditReport:
     """Run every rule over the archive and package document.
 
-    `images` gives, by href, the images of every document in
-    content_documents, as find_images finds them, and None for a document
-    that cannot be parsed; without it, each document is parsed here.
+    `images` gives, by href, the images of every document read_documents
+    reads, and None for one it cannot parse; without it, the documents are
+    read here.
 
     Deterministic: issues sorted by (doc_path, element_index, code). Never
     raises for document content; unparseable documents produce one Warning.
     """
+    if images is None:
+        images = {
+            href: None if document is None else document.images
+            for href, document in read_documents(archive, pkg)
+        }
     issues: list[Issue] = []
-    files_scanned = 0
-
-    for href, entry in content_documents(archive, pkg):
-        files_scanned += 1
-        occurrences = _find_images(entry, href) if images is None else images[href]
+    for href, occurrences in images.items():
         if occurrences is None:
             message = "document could not be parsed"
             issues.append(_issue(IssueCode.UNPARSEABLE_DOCUMENT, href, None, message))
@@ -183,7 +189,7 @@ def audit(
             i.code.value,
         )
     )
-    return AuditReport(issues=issues, files_scanned=files_scanned)
+    return AuditReport(issues=issues, files_scanned=len(images))
 
 
 def _package_issues(pkg: PackageDocument) -> list[Issue]:

@@ -5,6 +5,10 @@ only the metadata list and the entries it rewrites, and returns the input
 itself when it changes nothing, which tells repair whether the OPF must be
 written again. It never removes or rewrites a well-formed existing value,
 so a second pass is a no-op.
+
+Enrichment parses no document: the language sample is read from `texts`,
+the visible text repair takes from its one parse of each content document
+(audit.read_documents).
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from enum import Enum
 from typing import Callable, Iterator, Mapping
 
 from altgen.audit import is_well_formed_language_tag
-from altgen.container import ArchiveEntry, EpubArchive
-from altgen.content import UnparseableDocument, VisibleText, document_text
+from altgen.container import EpubArchive
+from altgen.content import VisibleText
 from altgen.errors import AltgenError
 from altgen.package import MetaEntry, MetaKind, PackageDocument, XHTML_MEDIA_TYPES
 
@@ -54,14 +58,13 @@ class AppliedFix:
         }
 
 
-def _sampled(pkg: PackageDocument, archive: EpubArchive) -> Iterator[tuple[str, ArchiveEntry]]:
-    """(href, entry) of the first <= 5 spine documents the archive holds."""
-    docs = (
-        (item.href, archive.entry(item.href))
+def _sampled(pkg: PackageDocument, archive: EpubArchive) -> Iterator[str]:
+    """Hrefs of the first <= 5 spine documents the archive holds."""
+    held = (
+        item.href
         for item in pkg.spine_items()
-        if item.media_type in XHTML_MEDIA_TYPES
+        if item.media_type in XHTML_MEDIA_TYPES and archive.entry(item.href) is not None
     )
-    held = ((href, entry) for href, entry in docs if entry is not None)
     return itertools.islice(held, SAMPLE_DOCS)
 
 
@@ -75,33 +78,28 @@ def _detects_language(pkg: PackageDocument) -> bool:
 def sampled_documents(pkg: PackageDocument, archive: EpubArchive) -> set[str]:
     """Hrefs of the documents enrich_metadata takes its language sample from;
     none when it detects no language."""
-    return {href for href, _ in _sampled(pkg, archive)} if _detects_language(pkg) else set()
+    return set(_sampled(pkg, archive)) if _detects_language(pkg) else set()
 
 
 def sample_spine_text(
     pkg: PackageDocument,
     archive: EpubArchive,
-    texts: Mapping[str, VisibleText | None] | None = None,
+    *,
+    texts: Mapping[str, VisibleText | None],
 ) -> str:
     """Visible text of the first <= 5 spine documents, capped at 10 000
     characters. Unparseable documents are skipped.
 
     `texts` gives, by href, the visible text of every document in
-    sampled_documents, walked up to a limit of at least SAMPLE_CHARS (None
-    for an unparseable document); without it, each document is parsed here.
+    sampled_documents, walked up to a limit of at least SAMPLE_CHARS, and
+    None for an unparseable document.
     """
     parts: list[str] = []
     total = 0
-    for href, entry in _sampled(pkg, archive):
-        try:
-            if texts is None:
-                text = document_text(entry, limit=SAMPLE_CHARS - total)
-            elif texts[href] is None:
-                continue
-            else:
-                text = texts[href].text(SAMPLE_CHARS - total)
-        except UnparseableDocument:
+    for href in _sampled(pkg, archive):
+        if texts[href] is None:
             continue
+        text = texts[href].text(SAMPLE_CHARS - total)
         if text:
             parts.append(text)
             total += len(text) + 1
@@ -116,7 +114,7 @@ def enrich_metadata(
     detector: Callable[[str], tuple[str, float]],
     *,
     fallback_title: str | None = None,
-    texts: Mapping[str, VisibleText | None] | None = None,
+    texts: Mapping[str, VisibleText | None],
 ) -> tuple[PackageDocument, list[AppliedFix]]:
     """Returns the enriched package and the list of applied fixes.
 
@@ -139,7 +137,7 @@ def enrich_metadata(
         languages = pkg.values(MetaKind.DC_LANGUAGE)
         detected: str | None = None
         try:
-            detected, _confidence = detector(sample_spine_text(pkg, archive, texts))
+            detected, _confidence = detector(sample_spine_text(pkg, archive, texts=texts))
         except AltgenError:
             detected = None
         if detected is None:

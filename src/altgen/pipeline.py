@@ -3,12 +3,13 @@ directories, with per-file parallelism and JSON/text reporting.
 
 Stage order per file is fixed: parse and audit, caption generation, metadata
 enrichment, reconstruction, re-audit. Repair unzips a book once and parses
-its OPF once. Each content document is parsed once; that parse gives the
-audit its images, the captions their targets and their contexts (one tree
-walk per document), and the language sample its text, and its tree is then
-released. Captioning sends one `generate_alts` call per book for the
-targets of all its documents, then splices each document's alts, document
-by document in book order, checked by one re-parse of the bytes written.
+its OPF once. Each content document is parsed once, by
+audit.read_documents; that parse gives the audit its images, the captions
+their targets and their contexts (one tree walk per document), and the
+language sample its text, and its tree is then released. Captioning sends
+one `generate_alts` call per book for the targets of all its documents,
+then splices each document's alts, document by document in book order,
+checked by one re-parse of the bytes written.
 That re-parse is also the written document's integrity verdict and its part
 of the re-audit, which audits the repaired model (untouched documents as
 first parsed, the enriched package) rather than the written file.
@@ -53,15 +54,15 @@ import os
 import posixpath
 import sys
 import time
+import urllib.parse
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import ModuleType
 
-from altgen.audit import AuditReport, audit, content_documents, is_well_formed_language_tag
+from altgen.audit import AuditReport, audit, is_well_formed_language_tag, read_documents
 from altgen.container import ArchiveEntry, EpubArchive, open_epub
-from altgen.content import ContentDocument, ImageOccurrence, UnparseableDocument, VisibleText
-from altgen.content import find_images
+from altgen.content import ContentDocument, ImageOccurrence, VisibleText, find_images
 from altgen.errors import AltgenError
 from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate
 from altgen.package import MetaKind, PackageDocument, parse_opf, serialize_opf
@@ -196,6 +197,21 @@ def make_backend(config: PipelineConfig):
     return backend.RemoteBackend(config.backend, token=token)
 
 
+def _check_backend(config: PipelineConfig) -> None:
+    """Raises PipelineError unless the backend is the stub or an http(s)
+    URL with a host (and a valid port, if one is given)."""
+    if config.backend == "stub":
+        return
+    try:
+        url = urllib.parse.urlsplit(config.backend)
+        url.port  # raises ValueError for a port that is no number from 0 to 65535
+    except ValueError:
+        url = None
+    if url is None or url.scheme not in ("http", "https") or not url.hostname:
+        message = f"backend {config.backend!r} is neither 'stub' nor an http(s) URL with a host"
+        raise PipelineError(message)
+
+
 def default_backend_name() -> str:
     return os.environ.get(ENV_BACKEND_URL) or "stub"
 
@@ -325,10 +341,8 @@ def _read_documents(archive: EpubArchive, pkg: PackageDocument) -> tuple[dict, d
     images: dict[str, list[ImageOccurrence] | None] = {}
     texts: dict[str, VisibleText | None] = {}
     chapters = []
-    for href, entry in content_documents(archive, pkg):
-        try:
-            document = ContentDocument(entry, href)
-        except UnparseableDocument:
+    for href, document in read_documents(archive, pkg):
+        if document is None:
             images[href] = texts[href] = None
             continue
         images[href] = document.images
@@ -559,6 +573,7 @@ def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fi
     low, high = backend.MIN_MAX_LENGTH, backend.MAX_MAX_LENGTH
     if not low <= config.max_alt_length <= high:
         raise PipelineError(f"max_alt_length {config.max_alt_length} outside [{low}, {high}]")
+    _check_backend(config)
     files = collect_epub_paths(paths)
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -590,14 +605,37 @@ def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fi
     return results, _exit_code(results, "post_errors")
 
 
-def _load_stored_report(repaired_dir: Path) -> dict | None:
+def _stored_figures(repaired_dir: Path) -> tuple[list[float], tuple[int, int] | None]:
+    """The per-file timings and the (pre_errors, post_errors) counts of the
+    report repair wrote in `repaired_dir`; none of either without a report.
+    The report comes from outside, so a value that is no timing (a finite
+    number of seconds, not negative) or no count (an integer, not negative)
+    is left out, as is a files row that is no object. JSON gives exact
+    types: true and false are bools, not numbers. Raises PipelineError for
+    a report that cannot be read or is not a JSON object."""
     report_path = repaired_dir / REPORT_FILENAME
     if not report_path.is_file():
-        return None
+        return [], None
     try:
-        return json.loads(report_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        stored = json.loads(report_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise PipelineError(f"unreadable {REPORT_FILENAME}: {exc}") from exc
+    if not isinstance(stored, dict):
+        raise PipelineError(f"unreadable {REPORT_FILENAME}: not a JSON object")
+    rows = stored.get("files")
+    timings = []
+    for row in rows if isinstance(rows, list) else []:
+        value = row.get("elapsed_seconds") if isinstance(row, dict) else None
+        # NaN fails both comparisons, and infinity the second
+        if type(value) in (int, float) and 0 <= value <= sys.float_info.max:
+            timings.append(float(value))
+    aggregate = stored.get("aggregate")
+    if not isinstance(aggregate, dict):
+        return timings, None
+    counts = aggregate.get("pre_errors"), aggregate.get("post_errors")
+    if all(type(count) is int and count >= 0 for count in counts):
+        return timings, counts
+    return timings, None
 
 
 def load_references(path: Path) -> list[dict]:
@@ -645,7 +683,9 @@ def run_validate(
         raise PipelineError(f"not a directory: {repaired_dir}")
     if config.bleu_max_n < 1:
         raise PipelineError(f"bleu_max_n {config.bleu_max_n} is below 1")
+    _check_backend(config)
     refs = load_references(Path(references))
+    timings, counts = _stored_figures(repaired_dir)
     client = make_backend(config)
 
     archives: dict[str, EpubArchive | None] = {}
@@ -664,14 +704,6 @@ def run_validate(
             continue
         pairs.append((written, ref["alt"]))
 
-    stored = _load_stored_report(repaired_dir)
-    timings: list[float] = []
-    if stored and isinstance(stored.get("files"), list):
-        for row in stored["files"]:
-            value = row.get("elapsed_seconds")
-            if type(value) in (int, float):
-                timings.append(float(value))
-
     if pairs:
         report = corpus_metrics(
             pairs,
@@ -688,13 +720,7 @@ def run_validate(
             report.seconds_per_file = sum(timings) / len(timings)
     report.missing_references = missing
 
-    exit_code = 0
-    if stored and isinstance(stored.get("aggregate"), dict):
-        aggregate = stored["aggregate"]
-        pre = aggregate.get("pre_errors")
-        post = aggregate.get("post_errors")
-        if type(pre) is int and type(post) is int:
-            report.err_percent, report.no_baseline = error_reduction_rate(pre, post)
-            if post > 0:
-                exit_code = 1
-    return report, exit_code
+    if counts is None:
+        return report, 0
+    report.err_percent, report.no_baseline = error_reduction_rate(*counts)
+    return report, 1 if counts[1] > 0 else 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,16 @@ def write_defective(path: Path) -> Path:
         )
     )
     return path
+
+
+# no scheme, a scheme other than http(s), no host, or a port out of range
+BAD_BACKENDS = [
+    "file:///tmp", "http//x", "ftp://127.0.0.1:9", "localhost:8080", "https://", "http://x:99999",
+]
+
+
+def no_backoff(seconds: float) -> None:
+    raise AssertionError(f"backed off {seconds} s")
 
 
 class TestBuildConfig:
@@ -157,6 +168,21 @@ class TestRepairCommand:
         assert main(["repair", str(book), "-o", str(out), "--max-alt-length", str(length)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"altgen: error: max_alt_length {length} outside [20, 1000]\n"
+        assert captured.out == ""
+        assert not out.exists()  # failed before any book was read
+
+    @pytest.mark.parametrize("backend", BAD_BACKENDS)
+    def test_backend_neither_stub_nor_http_url_exit_two(
+        self, tmp_path, capsys, monkeypatch, backend
+    ):
+        monkeypatch.setattr(time, "sleep", no_backoff)
+        book = write_defective(tmp_path / "story.epub")
+        out = tmp_path / "out"
+        assert main(["repair", str(book), "-o", str(out), "--jobs", "1", "--backend", backend]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"altgen: error: backend {backend!r} is neither 'stub' nor an http(s) URL with a host\n"
+        )
         assert captured.out == ""
         assert not out.exists()  # failed before any book was read
 
@@ -299,10 +325,15 @@ class TestValidateCommand:
         assert payload["n_pairs"] == 1
         assert payload["missing_references"] == 1
 
-    def test_boolean_stored_timing_is_not_a_timing(self, tmp_path, capsys):
+    # JSON gives exact types: true is a bool, not a number; json.dumps
+    # writes NaN and Infinity, which json.loads reads back
+    @pytest.mark.parametrize(
+        "value", [True, float("nan"), float("inf"), -5], ids=["true", "nan", "inf", "negative"]
+    )
+    def test_stored_timing_must_be_a_finite_non_negative_number(self, tmp_path, capsys, value):
         out, refs = self._repaired(tmp_path)
         report = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
-        report["files"][0]["elapsed_seconds"] = True
+        report["files"][0]["elapsed_seconds"] = value
         (out / REPORT_FILENAME).write_text(json.dumps(report), encoding="utf-8")
         capsys.readouterr()
         assert main(["validate", str(out), "--references", str(refs), "--report", "json"]) == 0
@@ -310,16 +341,65 @@ class TestValidateCommand:
         assert payload["n_files"] == 0
         assert payload["seconds_per_file"] is None
 
-    def test_boolean_stored_error_counts_are_not_counts(self, tmp_path, capsys):
+    def test_stored_files_row_not_an_object_is_skipped(self, tmp_path, capsys):
         out, refs = self._repaired(tmp_path)
         report = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
-        report["aggregate"].update(pre_errors=True, post_errors=True)
+        report["files"].insert(0, 1)
+        (out / REPORT_FILENAME).write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(out), "--references", str(refs), "--report", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_files"] == 1  # the one row that is an object
+
+    @pytest.mark.parametrize(
+        "pre, post",
+        [(True, True), (-1, 0), (4, -1), (4.0, 0), ("4", 0)],
+        ids=["true", "negative-pre", "negative-post", "float", "string"],
+    )
+    def test_stored_error_counts_must_be_non_negative_ints(self, tmp_path, capsys, pre, post):
+        out, refs = self._repaired(tmp_path)
+        report = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
+        report["aggregate"].update(pre_errors=pre, post_errors=post)
         (out / REPORT_FILENAME).write_text(json.dumps(report), encoding="utf-8")
         capsys.readouterr()
         assert main(["validate", str(out), "--references", str(refs), "--report", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["err_percent"] is None
         assert payload["no_baseline"] is False
+
+    @pytest.mark.parametrize("stored", [[1, 2], "x", None], ids=["array", "string", "null"])
+    def test_stored_report_not_an_object_exit_two(self, tmp_path, capsys, stored):
+        out, refs = self._repaired(tmp_path)
+        (out / REPORT_FILENAME).write_text(json.dumps(stored), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(out), "--references", str(refs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"altgen: error: unreadable {REPORT_FILENAME}: not a JSON object\n"
+        assert captured.out == ""
+
+    def test_stored_report_not_utf8_exit_two(self, tmp_path, capsys):
+        out, refs = self._repaired(tmp_path)
+        (out / REPORT_FILENAME).write_bytes(b"\xff\xfe{")
+        capsys.readouterr()
+        assert main(["validate", str(out), "--references", str(refs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"altgen: error: unreadable {REPORT_FILENAME}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("backend", BAD_BACKENDS)
+    def test_backend_neither_stub_nor_http_url_exit_two(
+        self, tmp_path, capsys, monkeypatch, backend
+    ):
+        out, refs = self._repaired(tmp_path)
+        monkeypatch.setattr(time, "sleep", no_backoff)
+        capsys.readouterr()
+        assert main(["validate", str(out), "--references", str(refs), "--backend", backend]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"altgen: error: backend {backend!r} is neither 'stub' nor an http(s) URL with a host\n"
+        )
+        assert captured.out == ""
 
     def test_bleu_flags_pass_through(self, tmp_path, capsys):
         out, refs = self._repaired(tmp_path)

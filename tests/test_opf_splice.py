@@ -105,8 +105,10 @@ def enrich(raw: bytes, language: str = "fr", title: str = "Fallback"):
     """The enriched package of an OPF, with `language` detected, and the
     bytes serialize_opf writes for it."""
     pkg = parse_opf(ArchiveEntry(OPF_PATH, raw))
-    archive = EpubArchive([], OPF_PATH)  # no chapter: the sample is empty
-    enriched, _ = enrich_metadata(pkg, archive, lambda text: (language, 1.0), fallback_title=title)
+    archive = EpubArchive([], OPF_PATH)  # no chapter: there are no texts to sample
+    enriched, _ = enrich_metadata(
+        pkg, archive, lambda text: (language, 1.0), fallback_title=title, texts={}
+    )
     return enriched, serialize_opf(enriched)
 
 

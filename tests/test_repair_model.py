@@ -2,7 +2,8 @@
 
 The written bytes stay the oracle: on generated books the in-memory
 post-audit must equal an audit of the book written, and repair must never
-add errors. A call-count test pins how often each artifact is read.
+add errors. Call-count tests pin how often repair reads each artifact and
+how often audit parses each document.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from pathlib import Path
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+import altgen.audit
 import epubgen
 from altgen import container, content, package, pipeline
 from altgen.audit import audit
-from altgen.pipeline import FileStatus, PipelineConfig, aggregate_results, run_repair
+from altgen.pipeline import FileStatus, PipelineConfig, aggregate_results, run_audit, run_repair
 
 _PROSE = "<p>The keeper climbed the tower every evening and lit the lamp.</p>"
 _UNDECODABLE = b'<?xml version="1.0" encoding="utf-8"?><html>\xff\xfe\x9c</html>'
@@ -123,6 +125,22 @@ def test_repair_never_adds_errors(book):
     assert aggregate["post_errors"] <= aggregate["pre_errors"]
 
 
+def _counter(monkeypatch, calls: Counter):
+    """count(owner, name, label) makes each call of owner.name add one to
+    calls[label]."""
+
+    def count(owner, name: str, label: str) -> None:
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[label] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    return count
+
+
 def test_each_artifact_read_once_and_modified_chapters_parsed_twice(tmp_path, monkeypatch):
     # one chapter gets an alt, two are left as they are, and the language
     # is detected from all three
@@ -135,16 +153,7 @@ def test_each_artifact_read_once_and_modified_chapters_parsed_twice(tmp_path, mo
         )
     )
     calls: Counter = Counter()
-
-    def count(owner, name: str, label: str) -> None:
-        original = getattr(owner, name)
-
-        def counting(*args, **kwargs):
-            calls[label] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counting)
-
+    count = _counter(monkeypatch, calls)
     count(pipeline, "open_epub", "open_epub")
     count(pipeline, "parse_opf", "parse_opf")
     count(content, "parse_document", "parse_document")
@@ -165,6 +174,28 @@ def test_each_artifact_read_once_and_modified_chapters_parsed_twice(tmp_path, mo
         # without a parse), and each parse_document
         "parse_xml": 6,
     }
+
+
+def test_audit_parses_each_document_once(tmp_path, monkeypatch):
+    book = tmp_path / "book.epub"
+    book.write_bytes(
+        epubgen.make_book(
+            n_chapters=3,
+            images=[{"chapter": 0, "name": "fox.png", "alt": None, "caption": "A fox"}],
+        )
+    )
+    calls: Counter = Counter()
+    count = _counter(monkeypatch, calls)
+    count(content, "parse_document", "parse_document")
+    for module in (content, pipeline, altgen.audit):
+        if hasattr(module, "find_images"):
+            count(module, "find_images", "find_images")
+
+    results, code = run_audit([book], PipelineConfig(jobs=1))
+    assert code == 1
+    assert results[0].pre_report.files_scanned == 3
+    assert calls["parse_document"] == 3
+    assert calls["find_images"] == 0
 
 
 def test_metadata_from_an_entity_fails_its_book_with_a_typed_error(tmp_path):
