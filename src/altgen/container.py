@@ -5,7 +5,10 @@ rootfile path from META-INF/container.xml. Round-tripping preserves entry
 order, per-entry compression method, and decompressed content exactly;
 compressed byte streams are regenerated on write. An archive is never
 edited or copied for a repair: reconstruct.rebuild writes its entries with
-the modified ones in their place. Every XML part (chapters, the OPF,
+the rewritten ones in their place. open_epub enforces the OCF rules on
+read, and write_epub's gate checks them all on write: the mimetype entry
+first, stored and exact, container.xml, and the rootfile it names, which
+open_epub leaves to its callers. Every XML part (chapters, the OPF,
 container.xml, SVG images) is decoded by decode_xml and read by parse_xml,
 the one strict parser, whose tree holds no reference cycle and so is freed
 with its last reference; content.parse_document wraps it in a
@@ -94,15 +97,13 @@ class Compression(Enum):
 class ArchiveEntry:
     """One file inside the container.
 
-    `data` is always the decompressed content. `modified` marks entries this
-    toolchain rewrote; untouched entries keep it False so rebuild diffs stay
-    honest.
+    `data` is always the decompressed content. with_data gives a copy with
+    new content; a repair hands the copies it made to reconstruct.rebuild.
     """
 
     path: str
     data: bytes
     compression: Compression = Compression.DEFLATED
-    modified: bool = False
     # ZIP dos-format timestamp; preserved on round-trip, epoch for new entries.
     date_time: tuple[int, int, int, int, int, int] = (1980, 1, 1, 0, 0, 0)
     # whether `data` is well-formed XML, when a strict parse of exactly these
@@ -110,7 +111,7 @@ class ArchiveEntry:
     well_formed: bool | None = field(default=None, compare=False, repr=False)
 
     def with_data(self, data: bytes, well_formed: bool | None = None) -> "ArchiveEntry":
-        return replace(self, data=data, modified=True, well_formed=well_formed)
+        return replace(self, data=data, well_formed=well_formed)
 
 
 @dataclass
@@ -215,7 +216,7 @@ def open_epub(data: bytes) -> EpubArchive:
             except RuntimeError as exc:  # encrypted, or NotImplementedError
                 raise NotSupported(f"{info.filename!r}: {exc}") from exc
             entries.append(
-                ArchiveEntry(info.filename, content, comp, False, tuple(info.date_time))
+                ArchiveEntry(info.filename, content, comp, tuple(info.date_time))
             )
 
     mimetype = next((e for e in entries if e.path == MIMETYPE_PATH), None)
@@ -432,6 +433,8 @@ def _check_write_invariants(archive: EpubArchive) -> None:
         raise InvariantViolation("mimetype entry content is wrong")
     if archive.entry(CONTAINER_XML_PATH) is None:
         raise InvariantViolation(f"archive lacks {CONTAINER_XML_PATH}")
+    if archive.entry(archive.rootfile_path) is None:
+        raise InvariantViolation(f"archive lacks its rootfile {archive.rootfile_path!r}")
     seen: set[str] = set()
     for entry in archive.entries:
         complaint = _validate_entry_path(entry.path)

@@ -155,6 +155,20 @@ def error_reduction_rate(pre_errors: int, post_errors: int) -> tuple[float, bool
     return 100.0 * (pre_errors - post_errors) / pre_errors, False
 
 
+def mean(values: Sequence[float]) -> float | None:
+    """The mean of finite values, None for none. It is finite too: where
+    their sum is past the float range, each is divided before the sum."""
+    if not values:
+        return None
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # intermediate overflow
+        total = math.inf
+    if math.isfinite(total):
+        return total / len(values)
+    return math.fsum(value / len(values) for value in values)
+
+
 @dataclass
 class MetricReport:
     cosine: float | None = None
@@ -256,7 +270,7 @@ def corpus_metrics(
     return MetricReport(
         cosine=math.fsum(cosines) / len(cosines) if cosines else None,
         bleu=math.fsum(bleus) / len(bleus) if bleus else None,
-        seconds_per_file=math.fsum(timings) / len(timings) if timings else None,
+        seconds_per_file=mean(timings),
         n_files=len(timings),
         n_pairs=len(pairs),
         embed_failures=len(pairs) - len(cosines),

@@ -15,8 +15,12 @@ of the re-audit, which audits the repaired model (untouched documents as
 first parsed, the enriched package) rather than the written file.
 Enrichment returns a new package only when it changes one, and only then is
 the OPF written again: its edits are spliced into the OPF's own bytes,
-inside <metadata>, and the rest of the OPF keeps its bytes. A document no
-alt can make well-formed XML fails its book before any caption request. Any Exception
+inside <metadata>, and the rest of the OPF keeps its bytes. The integrity
+check refuses a book for two reasons: a manifest href that names no entry,
+and a rewritten document that is not well-formed XML. Both are found
+before any caption request (for a document, when no alt can make it
+well-formed), so such a book fails there; rebuild checks the rewritten
+entries again. Any Exception
 in any stage of a book, from reading its file to writing the repaired copy,
 gives that book one Failed row and never stops the batch; the row keeps what
 the stages before the failure found. When the exception is no AltgenError
@@ -50,6 +54,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import json
+import math
 import os
 import posixpath
 import sys
@@ -64,7 +69,7 @@ from altgen.audit import AuditReport, audit, is_well_formed_language_tag, read_d
 from altgen.container import ArchiveEntry, EpubArchive, open_epub
 from altgen.content import ContentDocument, ImageOccurrence, VisibleText, find_images
 from altgen.errors import AltgenError
-from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate
+from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate, mean
 from altgen.package import MetaKind, PackageDocument, parse_opf, serialize_opf
 
 
@@ -372,12 +377,17 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, client) -> F
             return result
 
         language = _caption_language(pkg)
-        # a chapter no alt can make well-formed would fail the integrity
-        # check, so its book fails before any caption request
+        # what would fail the integrity check at rebuild fails the book
+        # before any caption request
         for document, targets, _ in chapters:
             if not document.can_be_well_formed([occ.element_index for occ, _, _ in targets]):
                 code = reconstruct.FindingCode.MALFORMED_MODIFIED_DOC
-                raise reconstruct.IntegrityErrors([reconstruct.finding(code, document.doc_path)])
+                raise reconstruct.IntegrityErrors(
+                    [reconstruct.IntegrityFinding(code, document.doc_path)]
+                )
+        findings = reconstruct.integrity_check(archive, pkg)
+        if findings:
+            raise reconstruct.IntegrityErrors(findings)
         requests = [
             backend.CaptionRequest(
                 image_bytes=image_entry.data,
@@ -605,14 +615,18 @@ def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fi
     return results, _exit_code(results, "post_errors")
 
 
-def _stored_figures(repaired_dir: Path) -> tuple[list[float], tuple[int, int] | None]:
-    """The per-file timings and the (pre_errors, post_errors) counts of the
-    report repair wrote in `repaired_dir`; none of either without a report.
-    The report comes from outside, so a value that is no timing (a finite
-    number of seconds, not negative) or no count (an integer, not negative)
-    is left out, as is a files row that is no object. JSON gives exact
-    types: true and false are bools, not numbers. Raises PipelineError for
-    a report that cannot be read or is not a JSON object."""
+def _stored_figures(
+    repaired_dir: Path,
+) -> tuple[list[float], tuple[float, bool, int] | None]:
+    """The per-file timings of the report repair wrote in `repaired_dir`,
+    and the error reduction rate of its counts as (err_percent,
+    no_baseline, post_errors); none of either without a report. The report
+    comes from outside, so a value that is no timing (a finite number of
+    seconds, not negative) is left out, as is a files row that is no
+    object, and counts that are no counts (integers, not negative) or whose
+    rate is no finite float. JSON gives exact types: true and false are
+    bools, not numbers. Raises PipelineError for a report that cannot be
+    read or is not a JSON object."""
     report_path = repaired_dir / REPORT_FILENAME
     if not report_path.is_file():
         return [], None
@@ -632,10 +646,16 @@ def _stored_figures(repaired_dir: Path) -> tuple[list[float], tuple[int, int] | 
     aggregate = stored.get("aggregate")
     if not isinstance(aggregate, dict):
         return timings, None
-    counts = aggregate.get("pre_errors"), aggregate.get("post_errors")
-    if all(type(count) is int and count >= 0 for count in counts):
-        return timings, counts
-    return timings, None
+    pre, post = aggregate.get("pre_errors"), aggregate.get("post_errors")
+    if not all(type(count) is int and count >= 0 for count in (pre, post)):
+        return timings, None
+    try:
+        err_percent, no_baseline = error_reduction_rate(pre, post)
+    except OverflowError:  # a count past the float range
+        return timings, None
+    if not math.isfinite(err_percent):
+        return timings, None
+    return timings, (err_percent, no_baseline, post)
 
 
 def load_references(path: Path) -> list[dict]:
@@ -685,7 +705,7 @@ def run_validate(
         raise PipelineError(f"bleu_max_n {config.bleu_max_n} is below 1")
     _check_backend(config)
     refs = load_references(Path(references))
-    timings, counts = _stored_figures(repaired_dir)
+    timings, rate = _stored_figures(repaired_dir)
     client = make_backend(config)
 
     archives: dict[str, EpubArchive | None] = {}
@@ -715,12 +735,10 @@ def run_validate(
             chunk_pairs=client.embed_chunk_pairs(len(pairs)),
         )
     else:
-        report = MetricReport(n_files=len(timings))
-        if timings:
-            report.seconds_per_file = sum(timings) / len(timings)
+        report = MetricReport(n_files=len(timings), seconds_per_file=mean(timings))
     report.missing_references = missing
 
-    if counts is None:
+    if rate is None:
         return report, 0
-    report.err_percent, report.no_baseline = error_reduction_rate(*counts)
-    return report, 1 if counts[1] > 0 else 0
+    report.err_percent, report.no_baseline, post_errors = rate
+    return report, 1 if post_errors > 0 else 0

@@ -341,6 +341,25 @@ class TestValidateCommand:
         assert payload["n_files"] == 0
         assert payload["seconds_per_file"] is None
 
+    @pytest.mark.parametrize("n_refs", [0, 1], ids=["no-pairs", "one-pair"])
+    def test_stored_timings_whose_sum_overflows_average_finitely(self, tmp_path, capsys, n_refs):
+        out, refs = self._repaired(tmp_path)
+        rows = json.loads(refs.read_text(encoding="utf-8"))
+        refs.write_text(json.dumps(rows[:n_refs]), encoding="utf-8")
+        report = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
+        report["files"] = [{"elapsed_seconds": 1e308}, {"elapsed_seconds": 1e308}]
+        (out / REPORT_FILENAME).write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(out), "--references", str(refs), "--report", "json"]) == 0
+
+        def not_json(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=not_json)
+        assert payload["n_pairs"] == n_refs
+        assert payload["n_files"] == 2
+        assert payload["seconds_per_file"] == 1e308
+
     def test_stored_files_row_not_an_object_is_skipped(self, tmp_path, capsys):
         out, refs = self._repaired(tmp_path)
         report = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
@@ -353,8 +372,9 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize(
         "pre, post",
-        [(True, True), (-1, 0), (4, -1), (4.0, 0), ("4", 0)],
-        ids=["true", "negative-pre", "negative-post", "float", "string"],
+        # a count past the float range has no rate
+        [(True, True), (-1, 0), (4, -1), (4.0, 0), ("4", 0), (10**400, 0), (1, 10**400)],
+        ids=["true", "negative-pre", "negative-post", "float", "string", "huge-pre", "huge-post"],
     )
     def test_stored_error_counts_must_be_non_negative_ints(self, tmp_path, capsys, pre, post):
         out, refs = self._repaired(tmp_path)

@@ -312,10 +312,19 @@ def test_written_archive_has_mimetype_first_stored(clean_book_bytes):
 
 
 def test_write_rejects_misplaced_mimetype(clean_book_bytes):
-    arc = open_epub(clean_book_bytes)
-    arc.entries.reverse()
-    with pytest.raises(InvariantViolation):
-        write_epub(arc)
+    # the write gate owns the OCF rules: the mimetype entry first, stored
+    # and exact, and container.xml and the rootfile it names present
+    reordered, wrong, no_rootfile = (open_epub(clean_book_bytes) for _ in range(3))
+    reordered.entries.reverse()
+    wrong.entries[0] = wrong.entries[0].with_data(b"text/plain")
+    no_rootfile.entries.remove(no_rootfile.entry(no_rootfile.rootfile_path))
+    for arc, complaint in [
+        (reordered, "first entry must be the mimetype"),
+        (wrong, "mimetype entry content is wrong"),
+        (no_rootfile, "archive lacks its rootfile 'OEBPS/content.opf'"),
+    ]:
+        with pytest.raises(InvariantViolation, match=complaint):
+            write_epub(arc)
 
 
 def test_write_rejects_bad_entry_paths(clean_book_bytes):
@@ -343,11 +352,11 @@ def test_entry_lookup_follows_replacements_and_list_edits(clean_book_bytes):
 def test_with_data_marks_modified(clean_book_bytes):
     arc = open_epub(clean_book_bytes)
     entry = arc.entry("OEBPS/ch1.xhtml")
-    assert not entry.modified
+    before = entry.data
     updated = entry.with_data(b"<html/>")
-    assert updated.modified
+    assert updated.data == b"<html/>"
     assert updated.path == entry.path
-    assert entry.data != updated.data
+    assert entry.data == before != updated.data
 
 
 def test_well_formed_verdict_goes_with_its_bytes(clean_book_bytes):

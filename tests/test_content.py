@@ -241,7 +241,7 @@ class TestSetAltText:
         d = doc('<p>Hi</p><img src="images/a.png"/>')
         occ = find_images(d)[0]
         updated = set_alt_text(d, occ, "A red fox.")
-        assert updated.modified
+        assert updated.data != d.data
         assert b'alt="A red fox."' in updated.data
         # the rest of the document is untouched
         assert updated.data.replace(b' alt="A red fox."', b"") == d.data

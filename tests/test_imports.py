@@ -123,3 +123,27 @@ def test_backend_imported_first_is_the_module_pipeline_uses():
     """
     lazy, _ = _run(script)
     assert lazy == str(sorted(REPAIR_ONLY[1:]))
+
+
+def test_every_traced_name_resolves_after_cli_import():
+    # the benchmark's tracer wraps these by name in the modules `import
+    # altgen.cli` leaves in sys.modules; a renamed or deleted function
+    # would break the traced run
+    script = """
+    import importlib.util
+    import altgen.cli
+    spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+    tracer = sys.modules["tracer"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = []
+    for _, module, attribute in tracer.TRACED:
+        owner = sys.modules.get(module)
+        cls_name, _, method = attribute.rpartition(".")
+        if cls_name:
+            owner = getattr(owner, cls_name, None)
+        target = vars(owner).get(method) if owner is not None else None
+        if not callable(target):
+            unresolved.append(f"{module}.{attribute}")
+    assert not unresolved, unresolved
+    """
+    _run(script, str(SRC.parent / "perfbench" / "tracer.py"))

@@ -23,6 +23,7 @@ from altgen.metrics import (
     corpus_metrics,
     cosine_similarity,
     error_reduction_rate,
+    mean,
     tokenize,
 )
 
@@ -159,6 +160,21 @@ class TestErrorReductionRate:
     def test_regression_allowed(self):
         value, _ = error_reduction_rate(10, 20)
         assert value == pytest.approx(-100.0, abs=TOL)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def test_mean_of_finite_values_is_finite(values):
+    got = mean(values)
+    if not values:
+        assert got is None
+        return
+    assert math.isfinite(got)
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        return
+    if math.isfinite(total):  # the plain mean where it is a float
+        assert got == total / len(values)
 
 
 finite_floats = st.floats(

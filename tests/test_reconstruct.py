@@ -7,11 +7,10 @@ from dataclasses import replace
 
 import pytest
 
-from altgen.container import MIMETYPE_PATH, ArchiveEntry, open_epub
+from altgen.container import ArchiveEntry, InvariantViolation, open_epub
 from altgen.package import MetaEntry, MetaKind, parse_opf, serialize_opf
 from altgen.reconstruct import (
     FindingCode,
-    FindingSeverity,
     IntegrityErrors,
     IntegrityFinding,
     integrity_check,
@@ -56,11 +55,7 @@ class TestIntegrityCheck:
         )
         archive, pkg = load(book)
         assert integrity_check(archive, pkg) == [
-            IntegrityFinding(
-                FindingCode.MANIFEST_DANGLING_HREF,
-                FindingSeverity.ERROR,
-                "OEBPS/images/fox.png",
-            )
+            IntegrityFinding(FindingCode.MANIFEST_DANGLING_HREF, "OEBPS/images/fox.png")
         ]
 
     def test_remote_href_not_dangling(self):
@@ -83,54 +78,25 @@ class TestIntegrityCheck:
         archive, pkg = load(book)
         assert integrity_check(archive, pkg) == []
 
-    def test_spine_dangling_idref(self):
-        archive, pkg = load(make_book())
-        pkg.spine.append("ghost")
-        findings = integrity_check(archive, pkg)
-        assert findings == [
-            IntegrityFinding(
-                FindingCode.SPINE_DANGLING_IDREF, FindingSeverity.ERROR, "ghost"
-            )
-        ]
-
-    def test_unmanifested_content_is_warning(self):
-        book = make_book(extra_entries=[("OEBPS/orphan.xhtml", page("<p>x</p>"))])
-        archive, pkg = load(book)
-        findings = integrity_check(archive, pkg)
-        assert findings == [
-            IntegrityFinding(
-                FindingCode.UNMANIFESTED_CONTENT,
-                FindingSeverity.WARNING,
-                "OEBPS/orphan.xhtml",
-            )
-        ]
-
     def test_unmanifested_non_content_ignored(self):
         book = make_book(extra_entries=[("OEBPS/notes.txt", b"scratch")])
         archive, pkg = load(book)
         assert integrity_check(archive, pkg) == []
 
     def test_mimetype_violation(self):
+        # the mimetype rule belongs to the write gate: integrity_check has
+        # nothing to say, and rebuild refuses through write_epub
         archive, pkg = load(make_book())
         archive.entries[0] = archive.entries[0].with_data(b"text/plain")
-        findings = integrity_check(archive, pkg)
-        assert findings == [
-            IntegrityFinding(
-                FindingCode.MIMETYPE_VIOLATION, FindingSeverity.ERROR, MIMETYPE_PATH
-            )
-        ]
+        assert integrity_check(archive, pkg) == []
+        with pytest.raises(InvariantViolation, match="mimetype entry content is wrong"):
+            rebuild(archive, pkg)
 
     def test_modified_malformed_doc_flagged(self):
         archive, pkg = load(make_book())
-        entry = archive.entry("OEBPS/ch1.xhtml")
-        archive.entries[archive.entries.index(entry)] = entry.with_data(b"<html><p></html>")
-        findings = integrity_check(archive, pkg)
-        assert findings == [
-            IntegrityFinding(
-                FindingCode.MALFORMED_MODIFIED_DOC,
-                FindingSeverity.ERROR,
-                "OEBPS/ch1.xhtml",
-            )
+        bad = archive.entry("OEBPS/ch1.xhtml").with_data(b"<html><p></html>")
+        assert integrity_check(archive, pkg, [bad]) == [
+            IntegrityFinding(FindingCode.MALFORMED_MODIFIED_DOC, "OEBPS/ch1.xhtml")
         ]
 
     def test_unmodified_malformed_doc_not_flagged(self):
@@ -156,7 +122,6 @@ class TestIntegrityCheck:
             [
                 ("META-INF/container.xml", container_xml()),
                 ("OEBPS/ch1.xhtml", page("<p>hello</p>")),
-                ("OEBPS/extra.xhtml", page("<p>x</p>")),
                 (
                     "OEBPS/content.opf",
                     opf(
@@ -171,9 +136,10 @@ class TestIntegrityCheck:
             ]
         )
         archive, pkg = load(book)
-        findings = integrity_check(archive, pkg)
+        bad = archive.entry("OEBPS/ch1.xhtml").with_data(b"<html><p></html>")
+        findings = integrity_check(archive, pkg, [bad])
         assert [f.path for f in findings] == [
-            "OEBPS/extra.xhtml",
+            "OEBPS/ch1.xhtml",
             "OEBPS/images/a.png",
             "OEBPS/images/z.png",
         ]
@@ -243,11 +209,6 @@ class TestRebuild:
         codes = {f.code for f in excinfo.value.findings}
         assert FindingCode.MANIFEST_DANGLING_HREF in codes
 
-    def test_warnings_do_not_block(self):
-        book = make_book(extra_entries=[("OEBPS/orphan.xhtml", page("<p>x</p>"))])
-        archive, pkg = load(book)
-        assert rebuild(archive, pkg)
-
     def test_malformed_modified_doc_blocks(self):
         archive, pkg = load(make_book())
         bad = archive.entry("OEBPS/ch1.xhtml").with_data(b"<html><p></html>")
@@ -274,7 +235,7 @@ class TestRebuild:
         archive.entries = [
             e for e in archive.entries if e.path != archive.rootfile_path
         ]
-        with pytest.raises(IntegrityErrors):
+        with pytest.raises(InvariantViolation, match="archive lacks its rootfile"):
             rebuild(archive, pkg)
 
     def test_round_trip_still_opens(self):

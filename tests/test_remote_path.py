@@ -370,3 +370,36 @@ def test_validate_counts_a_reply_that_is_not_http(tmp_path, capsys):
         code, report = _validate(out, refs, server.url, capsys)
     assert code == 0
     assert (report["n_pairs"], report["embed_failures"], report["cosine"]) == (3, 3, None)
+
+
+def test_manifest_href_naming_no_entry_fails_before_captioning(tmp_path, capsys):
+    # two images lack alt, and the manifest names an image the book lacks:
+    # the book fails with the integrity check's reason, and no caption is
+    # asked for
+    figures = "".join(
+        epubgen.figure_html(f"images/fig{k}.png", None, caption=f"Figure {k}") for k in range(2)
+    )
+    manifest = [("c1", "ch1.xhtml", "application/xhtml+xml")]
+    manifest += [(f"img{k}", f"images/fig{k}.png", "image/png") for k in range(2)]
+    manifest.append(("gone", "images/gone.png", "image/png"))
+    book = tmp_path / "book.epub"
+    book.write_bytes(
+        epubgen.build_zip(
+            [
+                ("META-INF/container.xml", epubgen.container_xml()),
+                ("OEBPS/ch1.xhtml", epubgen.page(figures)),
+                ("OEBPS/content.opf", epubgen.opf(manifest=manifest, spine=["c1"])),
+                ("OEBPS/images/fig0.png", epubgen.tiny_png()),
+                ("OEBPS/images/fig1.png", epubgen.tiny_png()),
+            ]
+        )
+    )
+    with MockBackendServer() as server:
+        server.script.respond = figure_captions()
+        code, report = _repair(book, tmp_path / "out", server)
+    assert "Traceback" not in capsys.readouterr().err
+    assert [r.path for r in server.script.requests] == []
+    row = report["files"][0]
+    assert row["status"] == "Failed"
+    assert row["reason"] == "ManifestDanglingHref: OEBPS/images/gone.png"
+    assert code == 2
