@@ -43,7 +43,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from altgen.container import NotWellFormed, _localname, parse_xml
+from altgen.container import NotWellFormed, _localname, finite_number, parse_json, parse_xml
 from altgen.content import ContextBundle, normalize_ws
 from altgen.errors import AltgenError
 from altgen.metrics import EMBED_CHUNK_PAIRS, LengthMismatch, tokenize
@@ -65,9 +65,6 @@ MAX_EMBED_TEXT = 2000
 MAX_EMBED_PAIRS = 128
 
 ENV_BACKEND_TOKEN = "ALTGEN_BACKEND_TOKEN"
-
-_NUMBER_TYPES = {int, float}
-
 
 class BackendError(AltgenError):
     pass
@@ -125,18 +122,19 @@ class AltCandidate:
     backend_id: str
 
 
-def _validate_candidate(alt_text: str, confidence: float, max_length: int, backend_id: str) -> AltCandidate:
+def _validate_candidate(alt_text, confidence, max_length: int, backend_id: str) -> AltCandidate:
     if not isinstance(alt_text, str) or not alt_text:
         raise CandidateInvalid("alt_text empty or not a string")
     if "\n" in alt_text or "\r" in alt_text:
         raise CandidateInvalid("alt_text contains line breaks")
     if len(alt_text) > max_length:
         raise CandidateInvalid(f"alt_text length {len(alt_text)} exceeds {max_length}")
-    if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
-        raise CandidateInvalid("confidence is not a number")
-    if not 0.0 <= float(confidence) <= 1.0 or not math.isfinite(confidence):
+    number = finite_number(confidence)
+    if number is None:
+        raise CandidateInvalid("confidence is not a finite number")
+    if not 0.0 <= number <= 1.0:
         raise CandidateInvalid(f"confidence {confidence} outside [0, 1]")
-    return AltCandidate(alt_text, float(confidence), backend_id)
+    return AltCandidate(alt_text, number, backend_id)
 
 
 def _attempt(generate, request: CaptionRequest) -> AltCandidate | BackendError:
@@ -407,12 +405,9 @@ class RemoteBackend(_Backend):
         if len(raw) > MAX_RESPONSE_BYTES:
             raise ResponseTooLarge(f"response exceeds {MAX_RESPONSE_BYTES} bytes")
         try:
-            parsed = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            return parse_json(raw, dict)
+        except NotWellFormed as exc:
             raise MalformedResponse(f"response is not JSON: {exc}") from exc
-        if not isinstance(parsed, dict):
-            raise MalformedResponse("response JSON is not an object")
-        return parsed
 
     def generate_alt(self, request: CaptionRequest) -> AltCandidate:
         payload = {
@@ -425,13 +420,9 @@ class RemoteBackend(_Backend):
         parsed = self._post("/v1/caption", payload)
         if "alt_text" not in parsed or "confidence" not in parsed:
             raise MalformedResponse("caption response lacks alt_text/confidence")
-        alt_text = parsed["alt_text"]
-        confidence = parsed["confidence"]
-        if not isinstance(alt_text, str):
-            raise MalformedResponse("alt_text is not a string")
-        if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
-            raise MalformedResponse("confidence is not a number")
-        return _validate_candidate(alt_text, confidence, request.max_length, self.backend_id)
+        return _validate_candidate(
+            parsed["alt_text"], parsed["confidence"], request.max_length, self.backend_id
+        )
 
     def map_requests(self, fn, items, stop=None) -> list:
         """`fan_out` on up to `inflight_cap` threads; the semaphore still
@@ -473,12 +464,8 @@ class RemoteBackend(_Backend):
         for row in embeddings:
             if not isinstance(row, list):
                 raise MalformedResponse("embedding row is not a list")
-            # whole-row passes; JSON gives exact types, so bools fail the first
-            try:
-                values = list(map(float, row)) if set(map(type, row)) <= _NUMBER_TYPES else None
-            except OverflowError:  # an integer beyond the float range
-                values = None
-            if values is None or not all(map(math.isfinite, values)):
+            values = list(map(finite_number, row))
+            if None in values:
                 raise MalformedResponse("embedding value is not a finite number")
             vectors.append(values)
         return vectors
@@ -486,9 +473,7 @@ class RemoteBackend(_Backend):
     def detect_language(self, text: str) -> tuple[str, float]:
         parsed = self._post("/v1/language", {"text": text})
         lang = parsed.get("lang")
-        confidence = parsed.get("confidence")
-        if not isinstance(lang, str) or not lang:
-            raise MalformedResponse("language response lacks lang")
-        if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
-            raise MalformedResponse("language response lacks numeric confidence")
-        return lang, float(confidence)
+        confidence = finite_number(parsed.get("confidence"))
+        if not isinstance(lang, str) or not lang or confidence is None:
+            raise MalformedResponse("language response lacks lang or a finite confidence")
+        return lang, confidence

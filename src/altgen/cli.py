@@ -24,6 +24,7 @@ from altgen.pipeline import (
     PipelineError,
     aggregate_results,
     default_backend_name,
+    read_json_file,
     report_json,
     run_audit,
     run_repair,
@@ -43,12 +44,7 @@ _CONFIG_KEYS = {
 
 
 def _load_config_file(path: str) -> dict:
-    try:
-        parsed = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PipelineError(f"unreadable config file {path}: {exc}") from exc
-    if not isinstance(parsed, dict):
-        raise PipelineError("config file must hold a JSON object")
+    parsed = read_json_file(path, dict, f"config file {path}")
     for key, value in parsed.items():
         expected = _CONFIG_KEYS.get(key)
         if expected is None:
@@ -68,8 +64,6 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         if flag is not None:
             values[key] = flag
     values.setdefault("backend", default_backend_name())
-    if "output_dir" in values and values["output_dir"] is not None:
-        values["output_dir"] = Path(values["output_dir"])
     try:
         return PipelineConfig(**values)
     except (TypeError, ValueError) as exc:

@@ -13,7 +13,8 @@ container.xml, SVG images) is decoded by decode_xml and read by parse_xml,
 the one strict parser, whose tree holds no reference cycle and so is freed
 with its last reference; content.parse_document wraps it in a
 ParsedDocument. splice writes edits into that text, so everything else in
-the part keeps its bytes.
+the part keeps its bytes. Every JSON input, from a file or a backend, is
+read by parse_json, the one strict JSON parser.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import codecs
 import functools
 import io
+import json
+import math
 import re
 import struct
 import zipfile
@@ -81,7 +84,7 @@ class InvariantViolation(ContainerError):
 
 
 class NotWellFormed(AltgenError):
-    """XML bytes that parse_xml rejects."""
+    """XML bytes that parse_xml rejects, or JSON bytes that parse_json does."""
 
 
 class Undecodable(NotWellFormed):
@@ -386,6 +389,28 @@ def is_well_formed(data: bytes) -> bool:
     except NotWellFormed:
         return False
     return True
+
+
+def parse_json(data: bytes, top: type):
+    """The value of the UTF-8 JSON `data`, which must be a `top` (dict or
+    list); NaN and Infinity are floats. Raises NotWellFormed otherwise, and
+    for JSON too deep or with an integer of more digits than Python reads."""
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise NotWellFormed(str(exc)) from exc
+    if type(value) is not top:
+        raise NotWellFormed(f"not a JSON {'object' if top is dict else 'array'}")
+    return value
+
+
+def finite_number(value) -> float | None:
+    """`value` as a float if it is a JSON number (an int or a float, never a
+    bool) whose float is finite, else None."""
+    try:
+        return float(value) if type(value) in (int, float) and math.isfinite(value) else None
+    except OverflowError:  # an integer past the float range
+        return None
 
 
 def splice(decoded: tuple[str, str, bytes], edits: list[tuple[int, int, str]]) -> bytes:

@@ -54,7 +54,6 @@ from __future__ import annotations
 import functools
 import importlib.util
 import json
-import math
 import os
 import posixpath
 import sys
@@ -66,7 +65,14 @@ from pathlib import Path
 from types import ModuleType
 
 from altgen.audit import AuditReport, audit, is_well_formed_language_tag, read_documents
-from altgen.container import ArchiveEntry, EpubArchive, open_epub
+from altgen.container import (
+    ArchiveEntry,
+    EpubArchive,
+    NotWellFormed,
+    finite_number,
+    open_epub,
+    parse_json,
+)
 from altgen.content import ContentDocument, ImageOccurrence, VisibleText, find_images
 from altgen.errors import AltgenError
 from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate, mean
@@ -615,34 +621,22 @@ def run_repair(paths: list[str | Path], config: PipelineConfig) -> tuple[list[Fi
     return results, _exit_code(results, "post_errors")
 
 
-def _stored_figures(
-    repaired_dir: Path,
-) -> tuple[list[float], tuple[float, bool, int] | None]:
+def _stored_figures(repaired_dir: Path) -> tuple[list[float], tuple[float | None, bool, int] | None]:
     """The per-file timings of the report repair wrote in `repaired_dir`,
-    and the error reduction rate of its counts as (err_percent,
-    no_baseline, post_errors); none of either without a report. The report
-    comes from outside, so a value that is no timing (a finite number of
-    seconds, not negative) is left out, as is a files row that is no
-    object, and counts that are no counts (integers, not negative) or whose
-    rate is no finite float. JSON gives exact types: true and false are
-    bools, not numbers. Raises PipelineError for a report that cannot be
-    read or is not a JSON object."""
+    and its counts as (err_percent, no_baseline, post_errors); none of
+    either without a report. The report comes from outside, so a value
+    that is no timing (a finite number of seconds, not negative) is left
+    out, as is a files row that is no object, and counts that are no counts
+    (integers, not negative; JSON's true and false are bools). err_percent
+    is None where the counts' rate is no finite float. Raises PipelineError
+    for a report that cannot be read or is not a JSON object."""
     report_path = repaired_dir / REPORT_FILENAME
     if not report_path.is_file():
         return [], None
-    try:
-        stored = json.loads(report_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-        raise PipelineError(f"unreadable {REPORT_FILENAME}: {exc}") from exc
-    if not isinstance(stored, dict):
-        raise PipelineError(f"unreadable {REPORT_FILENAME}: not a JSON object")
-    rows = stored.get("files")
-    timings = []
-    for row in rows if isinstance(rows, list) else []:
-        value = row.get("elapsed_seconds") if isinstance(row, dict) else None
-        # NaN fails both comparisons, and infinity the second
-        if type(value) in (int, float) and 0 <= value <= sys.float_info.max:
-            timings.append(float(value))
+    stored = read_json_file(report_path, dict, REPORT_FILENAME)
+    rows = stored["files"] if isinstance(stored.get("files"), list) else []
+    values = [finite_number(row.get("elapsed_seconds")) for row in rows if isinstance(row, dict)]
+    timings = [value for value in values if value is not None and value >= 0]
     aggregate = stored.get("aggregate")
     if not isinstance(aggregate, dict):
         return timings, None
@@ -651,25 +645,25 @@ def _stored_figures(
         return timings, None
     try:
         err_percent, no_baseline = error_reduction_rate(pre, post)
-    except OverflowError:  # a count past the float range
-        return timings, None
-    if not math.isfinite(err_percent):
-        return timings, None
-    return timings, (err_percent, no_baseline, post)
+    except OverflowError:  # a count past the float range; pre is not 0
+        err_percent, no_baseline = None, False
+    return timings, (finite_number(err_percent), no_baseline, post)
+
+
+def read_json_file(path: Path, top: type, name: str):
+    """parse_json of the file at `path`, which must hold a `top`; raises
+    PipelineError("unreadable <name>: ...") where it cannot."""
+    try:
+        return parse_json(Path(path).read_bytes(), top)
+    except (OSError, NotWellFormed) as exc:
+        raise PipelineError(f"unreadable {name}: {exc}") from exc
 
 
 def load_references(path: Path) -> list[dict]:
-    try:
-        parsed = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PipelineError(f"unreadable references file: {exc}") from exc
-    if not isinstance(parsed, list):
-        raise PipelineError("references file must be a JSON array")
+    parsed = read_json_file(path, list, "references file")
     for k, row in enumerate(parsed):
         if not isinstance(row, dict) or not {"epub", "doc", "index", "alt"} <= set(row):
-            raise PipelineError(
-                'reference entries need "epub", "doc", "index", and "alt" fields'
-            )
+            raise PipelineError('reference entries need "epub", "doc", "index", and "alt" fields')
         # a bad index only makes the reference missing; these cannot be used
         for key in ("epub", "doc", "alt"):
             if not isinstance(row[key], str):
@@ -686,7 +680,7 @@ def _written_alts(
     if epub not in archives:
         try:
             archives[epub] = open_epub((repaired_dir / epub).read_bytes())
-        except (AltgenError, OSError):
+        except (AltgenError, OSError, ValueError):  # ValueError: a NUL or a lone surrogate
             archives[epub] = None
     entry = archives[epub].entry(doc) if archives[epub] is not None else None
     try:

@@ -431,6 +431,44 @@ class TestEmbedReplies:
                 RemoteBackend(server.url).embed_texts(["a"])
 
 
+# each remote call, and a reply to it with `value` in place of its number
+_CALLS = {
+    "caption": (lambda b: b.generate_alt(png_request()), b'{"alt_text":"A fox.","confidence":%s}'),
+    "embed": (lambda b: b.embed_texts(["a"]), b'{"embeddings":[[%s]]}'),
+    "language": (lambda b: b.detect_language("hello there"), b'{"lang":"fr","confidence":%s}'),
+}
+_DIGITS = b"1" + b"0" * 4999  # past the interpreter's integer-digit limit
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_HUGE = b"1" + b"0" * 400  # 10**400: an integer past the float range
+
+
+class TestHostileReplies:
+    @pytest.mark.parametrize(
+        "call, value, error",
+        [
+            ("caption", _DIGITS, MalformedResponse),
+            ("caption", _DEEP, MalformedResponse),
+            ("caption", _HUGE, CandidateInvalid),
+            ("embed", _DIGITS, MalformedResponse),
+            ("embed", _DEEP, MalformedResponse),
+            ("language", _DIGITS, MalformedResponse),
+            ("language", _DEEP, MalformedResponse),
+            ("language", _HUGE, MalformedResponse),
+        ],
+        ids=[
+            "caption-digits", "caption-deep", "caption-huge", "embed-digits", "embed-deep",
+            "language-digits", "language-deep", "language-huge",
+        ],
+    )
+    def test_number_or_nesting_past_the_limits_is_a_typed_error(self, call, value, error):
+        request, reply = _CALLS[call]
+        with MockBackendServer() as server:
+            server.enqueue_raw(200, reply % value)
+            with pytest.raises(error) as excinfo:
+                request(RemoteBackend(server.url))
+        assert type(excinfo.value) is error
+
+
 class TestConcurrencyCap:
     def test_inflight_capped_at_four(self):
         with MockBackendServer() as server:

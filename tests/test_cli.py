@@ -371,18 +371,24 @@ class TestValidateCommand:
         assert payload["n_files"] == 1  # the one row that is an object
 
     @pytest.mark.parametrize(
-        "pre, post",
-        # a count past the float range has no rate
-        [(True, True), (-1, 0), (4, -1), (4.0, 0), ("4", 0), (10**400, 0), (1, 10**400)],
+        "pre, post, code",
+        # a count past the float range has no rate, but still counts: a
+        # kept post_errors above 0 means errors remain
+        [
+            (True, True, 0), (-1, 0, 0), (4, -1, 0), (4.0, 0, 0), ("4", 0, 0),
+            (10**400, 0, 0), (1, 10**400, 1),
+        ],
         ids=["true", "negative-pre", "negative-post", "float", "string", "huge-pre", "huge-post"],
     )
-    def test_stored_error_counts_must_be_non_negative_ints(self, tmp_path, capsys, pre, post):
+    def test_stored_error_counts_must_be_non_negative_ints(
+        self, tmp_path, capsys, pre, post, code
+    ):
         out, refs = self._repaired(tmp_path)
         report = json.loads((out / REPORT_FILENAME).read_text(encoding="utf-8"))
         report["aggregate"].update(pre_errors=pre, post_errors=post)
         (out / REPORT_FILENAME).write_text(json.dumps(report), encoding="utf-8")
         capsys.readouterr()
-        assert main(["validate", str(out), "--references", str(refs), "--report", "json"]) == 0
+        assert main(["validate", str(out), "--references", str(refs), "--report", "json"]) == code
         payload = json.loads(capsys.readouterr().out)
         assert payload["err_percent"] is None
         assert payload["no_baseline"] is False
