@@ -116,13 +116,12 @@ _LANGTAG = (
     r"(?:-x(?:-[a-z0-9]{1,8})+)?"  # private use
 )
 _PRIVATE = r"x(?:-[a-z0-9]{1,8})+"
-_TAG_RE = re.compile(
-    f"^(?:{_IRREGULAR}|{_REGULAR}|{_LANGTAG}|{_PRIVATE})$", re.IGNORECASE
-)
+# ASCII: under Unicode case folding, [a-z] would also match U+017F and U+212A
+_TAG_RE = re.compile(f"{_IRREGULAR}|{_REGULAR}|{_LANGTAG}|{_PRIVATE}", re.IGNORECASE | re.ASCII)
 
 
 def is_well_formed_language_tag(tag: str) -> bool:
-    return bool(tag) and _TAG_RE.match(tag) is not None
+    return _TAG_RE.fullmatch(tag) is not None
 
 
 def read_documents(

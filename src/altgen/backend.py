@@ -43,7 +43,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from altgen.container import NotWellFormed, _localname, finite_number, parse_json, parse_xml
+from altgen.audit import is_well_formed_language_tag
+from altgen.container import NON_XML_CHAR_RE, NotWellFormed, _localname, finite_number
+from altgen.container import parse_json, parse_xml
 from altgen.content import ContextBundle, normalize_ws
 from altgen.errors import AltgenError
 from altgen.metrics import EMBED_CHUNK_PAIRS, LengthMismatch, tokenize
@@ -127,6 +129,9 @@ def _validate_candidate(alt_text, confidence, max_length: int, backend_id: str) 
         raise CandidateInvalid("alt_text empty or not a string")
     if "\n" in alt_text or "\r" in alt_text:
         raise CandidateInvalid("alt_text contains line breaks")
+    bad = NON_XML_CHAR_RE.search(alt_text)
+    if bad is not None:
+        raise CandidateInvalid(f"alt_text character U+{ord(bad.group()):04X} cannot be written in XML")
     if len(alt_text) > max_length:
         raise CandidateInvalid(f"alt_text length {len(alt_text)} exceeds {max_length}")
     number = finite_number(confidence)
@@ -474,6 +479,6 @@ class RemoteBackend(_Backend):
         parsed = self._post("/v1/language", {"text": text})
         lang = parsed.get("lang")
         confidence = finite_number(parsed.get("confidence"))
-        if not isinstance(lang, str) or not lang or confidence is None:
-            raise MalformedResponse("language response lacks lang or a finite confidence")
+        if not isinstance(lang, str) or not is_well_formed_language_tag(lang) or confidence is None:
+            raise MalformedResponse("language response lacks a BCP 47 lang or a finite confidence")
         return lang, confidence

@@ -260,6 +260,9 @@ _STARTS = (
     (b"\0<", "utf-16-be", 0),
 )
 
+# a character XML 1.0 does not allow, even escaped
+NON_XML_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
 # a whole well-formed start tag, matched where a strict parse says one begins
 XML_START_TAG_RE = re.compile(r"""<[^\s/>]+(?:\s+[^\s=/>]+\s*=\s*(?:"[^"]*"|'[^']*'))*\s*/?>""")
 

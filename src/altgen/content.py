@@ -20,11 +20,9 @@ re-parse also gives the written document's images and whether it is
 well-formed XML, so nothing parses it again. Contexts come from the
 original document, since alt attributes never feed context text.
 find_images, extract_context, set_alt_text and document_text are the
-one-image or one-use forms of ContentDocument and VisibleText. Audit and
-repair use none of them. They stay because validate looks up written alts
-with find_images (by the reference's document path, manifested or not),
-the benchmark's tracer wraps all four by name, and the tests hold
-ContentDocument to them.
+one-image or one-use forms of ContentDocument and VisibleText. Audit,
+repair and validate use none of them. They stay because the benchmark's
+tracer wraps all four by name, and the tests hold ContentDocument to them.
 """
 
 from __future__ import annotations

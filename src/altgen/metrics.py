@@ -241,11 +241,10 @@ def corpus_metrics(
     call fails or returns the wrong number of vectors are then embedded one
     pair per call, all through one more `mapper` call, so only the pair at
     fault fails. A pair whose embedding or scoring fails is excluded from
-    that metric's mean and counted in the report. err_percent is left
-    unset; the pipeline fills it from stored audit reports.
+    that metric's mean and counted in the report; no pairs give no means.
+    err_percent is left unset; the pipeline fills it from stored audit
+    reports.
     """
-    if not pairs:
-        raise ValueError("pairs must be non-empty")
     chunks = [
         pairs[start : start + chunk_pairs] for start in range(0, len(pairs), chunk_pairs)
     ]
@@ -268,8 +267,8 @@ def corpus_metrics(
         except MetricError:
             bleu_failures += 1
     return MetricReport(
-        cosine=math.fsum(cosines) / len(cosines) if cosines else None,
-        bleu=math.fsum(bleus) / len(bleus) if bleus else None,
+        cosine=mean(cosines),
+        bleu=mean(bleus),
         seconds_per_file=mean(timings),
         n_files=len(timings),
         n_pairs=len(pairs),

@@ -19,8 +19,8 @@ from typing import NamedTuple
 from urllib.parse import unquote, urlsplit
 from xml.etree import ElementTree as ET
 
-from altgen.container import XML_START_TAG_RE, ArchiveEntry, InvariantViolation, NotWellFormed
-from altgen.container import _localname, char_offsets, parse_xml, splice
+from altgen.container import NON_XML_CHAR_RE, XML_START_TAG_RE, ArchiveEntry, InvariantViolation
+from altgen.container import NotWellFormed, _localname, char_offsets, parse_xml, splice
 from altgen.errors import AltgenError
 
 OPF_NS = "http://www.idpf.org/2007/opf"
@@ -272,12 +272,8 @@ def _parse_spine(spine_elem: ET.Element, doc: PackageDocument, opf_path: str) ->
         doc.spine.append(idref)
 
 
-# a character XML 1.0 does not allow, even escaped
-_NON_XML_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-
-
 def _escaped(value: str) -> str:
-    bad = _NON_XML_CHAR_RE.search(value)
+    bad = NON_XML_CHAR_RE.search(value)
     if bad is not None:
         raise InvariantViolation(f"character U+{ord(bad.group()):04X} cannot be written in XML")
     return escape(value)

@@ -43,8 +43,8 @@ backend waits on the network: it runs up to `jobs` books at once on
 threads of the calling process, which share one client and so its
 in-flight cap. Results are sorted by input path, so parallel runs give the
 same per-file bytes and report as jobs=1. A worker process that dies is a
-PipelineError. Validation runs in the calling process, its embedding calls
-through the backend's `map_requests`, in chunks the backend sizes
+PipelineError. Validation reads one book at a time in the calling process;
+its embed calls go through `map_requests`, in chunks the backend sizes
 (`embed_chunk_pairs`): for a remote backend, one request per in-flight
 slot, all sent at once; for the stub, 16 pairs per call, run serially.
 """
@@ -73,9 +73,9 @@ from altgen.container import (
     open_epub,
     parse_json,
 )
-from altgen.content import ContentDocument, ImageOccurrence, VisibleText, find_images
+from altgen.content import ContentDocument, ImageOccurrence, VisibleText
 from altgen.errors import AltgenError
-from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate, mean
+from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate
 from altgen.package import MetaKind, PackageDocument, parse_opf, serialize_opf
 
 
@@ -671,22 +671,32 @@ def load_references(path: Path) -> list[dict]:
     return parsed
 
 
-def _written_alts(
-    repaired_dir: Path, epub: str, doc: str, archives: dict[str, EpubArchive | None]
-) -> list[str | None]:
-    """The alt of each image of document `doc` in book `epub`, in document
-    order; empty when either cannot be read. `archives` keeps each book
-    opened, None for one that cannot be."""
-    if epub not in archives:
+def _written_alts(repaired_dir: Path, refs: list[dict]) -> dict[tuple[str, str], list[str | None]]:
+    """The alt of each image, in document order, of each (book, document)
+    that `refs` name and that can be read. The books are the regular files
+    directly in `repaired_dir`, by basename; each is read once and released
+    before the next."""
+    with os.scandir(repaired_dir) as listing:
+        books = {item.name: item.path for item in listing if item.is_file(follow_symlinks=False)}
+    docs: dict[str, dict[str, None]] = {}  # book -> its documents, in order of first reference
+    for ref in refs:
+        if ref["epub"] in books:
+            docs.setdefault(ref["epub"], {})[ref["doc"]] = None
+    written: dict[tuple[str, str], list[str | None]] = {}
+    for epub, names in docs.items():
         try:
-            archives[epub] = open_epub((repaired_dir / epub).read_bytes())
-        except (AltgenError, OSError, ValueError):  # ValueError: a NUL or a lone surrogate
-            archives[epub] = None
-    entry = archives[epub].entry(doc) if archives[epub] is not None else None
-    try:
-        return [occ.existing_alt for occ in find_images(entry, doc)] if entry else []
-    except AltgenError:
-        return []
+            archive = open_epub(Path(books[epub]).read_bytes())
+        except (AltgenError, OSError):
+            continue
+        for doc in names:
+            entry = archive.entry(doc)
+            try:
+                images = ContentDocument(entry, doc).images if entry else []
+            except AltgenError:
+                images = []
+            written[epub, doc] = [occ.existing_alt for occ in images]
+        del archive, entry  # before the next book is read
+    return written
 
 
 def run_validate(
@@ -702,35 +712,24 @@ def run_validate(
     timings, rate = _stored_figures(repaired_dir)
     client = make_backend(config)
 
-    archives: dict[str, EpubArchive | None] = {}
-    alts_by_doc: dict[tuple[str, str], list[str | None]] = {}
+    written = _written_alts(repaired_dir, refs)
     pairs: list[tuple[str, str]] = []
-    missing = 0
     for ref in refs:
-        key = (ref["epub"], ref["doc"])
-        if key not in alts_by_doc:
-            alts_by_doc[key] = _written_alts(repaired_dir, *key, archives)
-        alts, index = alts_by_doc[key], ref["index"]
+        alts, index = written.get((ref["epub"], ref["doc"]), []), ref["index"]
         # JSON gives exact types: true and false are bools, not ints
-        written = alts[index] if type(index) is int and 0 <= index < len(alts) else None
-        if not written:
-            missing += 1
-            continue
-        pairs.append((written, ref["alt"]))
-
-    if pairs:
-        report = corpus_metrics(
-            pairs,
-            client.embed_texts,
-            timings,
-            bleu_max_n=config.bleu_max_n,
-            smoothing=config.smoothing,
-            mapper=client.map_requests,
-            chunk_pairs=client.embed_chunk_pairs(len(pairs)),
-        )
-    else:
-        report = MetricReport(n_files=len(timings), seconds_per_file=mean(timings))
-    report.missing_references = missing
+        alt = alts[index] if type(index) is int and 0 <= index < len(alts) else None
+        if alt:
+            pairs.append((alt, ref["alt"]))
+    report = corpus_metrics(
+        pairs,
+        client.embed_texts,
+        timings,
+        bleu_max_n=config.bleu_max_n,
+        smoothing=config.smoothing,
+        mapper=client.map_requests,
+        chunk_pairs=client.embed_chunk_pairs(len(pairs)),
+    )
+    report.missing_references = len(refs) - len(pairs)
 
     if rate is None:
         return report, 0

@@ -238,6 +238,9 @@ ILL_FORMED = [
     "en-US-",
     "x-",
     "i-notreal",
+    "en\n",  # a trailing newline is no part of a tag
+    "\u017fv",  # LATIN SMALL LETTER LONG S folds to "s", but tags are ASCII
+    "\u212ay",  # KELVIN SIGN folds to "k"
 ]
 
 

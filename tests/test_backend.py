@@ -351,6 +351,15 @@ class TestRemoteErrors:
             with pytest.raises(CandidateInvalid):
                 backend.generate_alt(png_request(max_length=250))
 
+    # XML 1.0 forbids them even escaped, so no splice could write them
+    @pytest.mark.parametrize("alt", ["A red\u0001 fox", "A red \ud800 fox", "A red fox\ufffe"])
+    def test_character_xml_forbids_candidate_invalid(self, alt):
+        with MockBackendServer() as server:
+            server.enqueue_json(200, {"alt_text": alt, "confidence": 0.9})
+            backend = RemoteBackend(server.url)
+            with pytest.raises(CandidateInvalid, match="cannot be written in XML"):
+                backend.generate_alt(png_request())
+
     def test_out_of_range_confidence_candidate_invalid(self):
         with MockBackendServer() as server:
             server.enqueue_json(200, {"alt_text": "A fox.", "confidence": 1.5})
@@ -384,6 +393,14 @@ class TestRemoteErrors:
             server.enqueue_json(200, {"lang": "", "confidence": 0.9})
             backend = RemoteBackend(server.url)
             with pytest.raises(MalformedResponse):
+                backend.detect_language("hello there")
+
+    @pytest.mark.parametrize("lang", ["not a tag!!", "e\u0001n", "en\n", "\u017fv"])
+    def test_language_that_is_no_tag_malformed(self, lang):
+        with MockBackendServer() as server:
+            server.enqueue_json(200, {"lang": lang, "confidence": 0.9})
+            backend = RemoteBackend(server.url)
+            with pytest.raises(MalformedResponse, match="lacks a BCP 47 lang"):
                 backend.detect_language("hello there")
 
 

@@ -310,9 +310,12 @@ class TestCorpusMetrics:
         assert report.bleu is None
         assert report.cosine == pytest.approx(1.0, abs=TOL)
 
-    def test_empty_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            corpus_metrics([], self.fake_embedder)
+    def test_empty_pairs_give_an_empty_report(self):
+        def embedder(texts):
+            raise AssertionError("no pairs call no embedder")
+
+        report = corpus_metrics([], embedder, timings=[0.5, 1.5])
+        assert report == MetricReport(seconds_per_file=1.0, n_files=2)
 
     def test_report_dict_keys(self):
         report = MetricReport(

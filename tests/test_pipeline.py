@@ -5,9 +5,14 @@ from __future__ import annotations
 import codecs
 import errno
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 import tempfile
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -820,6 +825,74 @@ class TestRunValidate:
         report, _ = run_validate(out, refs, PipelineConfig(jobs=1))
         assert report.missing_references == 3
         assert report.n_pairs == 2
+
+    @pytest.mark.parametrize("form", ["parent", "absolute", "nested", "directory", "link"])
+    def test_book_outside_the_directory_is_a_missing_reference(self, tmp_path, form):
+        # a row names a regular file directly in the directory; the same
+        # book beside it, below it, or behind a link there is not read
+        out, refs = _repair_and_reference(tmp_path)
+        other = tmp_path / "other"
+        other.mkdir()
+        shutil.copy(out / "story.epub", other / "story.epub")
+        (out / "sub").mkdir()
+        shutil.copy(out / "story.epub", out / "sub" / "story.epub")
+        (out / "link.epub").symlink_to(other / "story.epub")
+        epub = {
+            "parent": "../other/story.epub",
+            "absolute": str(other / "story.epub"),
+            "nested": "sub/story.epub",
+            "directory": "sub",
+            "link": "link.epub",
+        }[form]
+        rows = json.loads(refs.read_text(encoding="utf-8"))
+        refs.write_text(json.dumps([dict(row, epub=epub) for row in rows]), encoding="utf-8")
+        report, code = run_validate(out, refs, PipelineConfig(jobs=1))
+        assert code == 0
+        assert (report.n_pairs, report.missing_references) == (0, len(rows))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_in_the_directory_is_a_missing_reference(self, tmp_path):
+        # opening a FIFO to read waits for a writer: validate runs in a
+        # subprocess, so that a hang fails this test instead of the suite
+        out, refs = _repair_and_reference(tmp_path)
+        os.mkfifo(out / "pipe.epub")
+        rows = json.loads(refs.read_text(encoding="utf-8"))
+        refs.write_text(json.dumps(rows + [dict(rows[0], epub="pipe.epub")]), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "altgen", "validate", str(out), "--references", str(refs),
+             "--report", "json"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        payload = json.loads(proc.stdout)
+        assert (payload["n_pairs"], payload["missing_references"]) == (len(rows), 1)
+
+    def test_books_are_read_one_at_a_time(self, tmp_path):
+        # each book holds a stored 1 MiB entry: reading one holds its file
+        # and the entry, and holding every book read would peak above eight
+        noise = random.Random(7)
+        out = tmp_path / "repaired"
+        out.mkdir()
+        rows = []
+        for k in range(8):
+            name = f"book{k}.epub"
+            (out / name).write_bytes(
+                make_book(images=[{"chapter": 0, "name": "fox.png", "alt": "A red fox"}])
+            )
+            with zipfile.ZipFile(out / name, "a") as zf:
+                zf.writestr("OEBPS/noise.bin", noise.randbytes(1 << 20), zipfile.ZIP_STORED)
+            rows.append({"epub": name, "doc": "OEBPS/ch1.xhtml", "index": 0, "alt": "A red fox"})
+        refs = tmp_path / "refs.json"
+        refs.write_text(json.dumps(rows), encoding="utf-8")
+        book = (out / "book0.epub").stat().st_size
+        tracemalloc.start()
+        try:
+            report, _ = run_validate(out, refs, PipelineConfig(jobs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_pairs == 8
+        assert peak < 2 * book + (1 << 20)
 
     def test_exit_one_when_post_errors_remain(self, tmp_path, monkeypatch):
         book = tmp_path / "story.epub"

@@ -403,3 +403,45 @@ def test_manifest_href_naming_no_entry_fails_before_captioning(tmp_path, capsys)
     assert row["status"] == "Failed"
     assert row["reason"] == "ManifestDanglingHref: OEBPS/images/gone.png"
     assert code == 2
+
+
+def test_caption_xml_cannot_hold_is_one_caption_failure(tmp_path, capsys):
+    # the splice would write the character and fail the book; it is refused
+    # as a candidate instead, so only its own image goes without an alt
+    book = _book(tmp_path / "book.epub")
+    captions = figure_captions()
+
+    def respond(path: str, body: bytes) -> tuple[int, bytes]:
+        if json.loads(body)["context"]["figcaption"] == "Figure 3":
+            return 200, json.dumps({"alt_text": "A red\u0001 fox", "confidence": 0.9}).encode()
+        return captions(path, body)
+
+    with MockBackendServer() as server:
+        server.script.respond = respond
+        code, report = _repair(book, tmp_path / "out", server)
+    assert "Traceback" not in capsys.readouterr().err
+    row = report["files"][0]
+    assert code == 1
+    assert (row["status"], row["reason"]) == ("Repaired", None)
+    assert (row["alts_written"], row["caption_failures"]) == (N_IMAGES - 1, 1)
+    repaired = open_epub((tmp_path / "out" / "book.epub").read_bytes())
+    alts = [occ.existing_alt for occ in find_images(repaired.entry("OEBPS/ch1.xhtml"))]
+    assert alts == [None if k == 3 else f"Figure number {k}." for k in range(N_IMAGES)]
+
+
+@pytest.mark.parametrize("lang", ["not a tag!!", "e\u0001n"], ids=["not-a-tag", "control"])
+def test_language_reply_that_is_no_tag_falls_back_to_statistics(tmp_path, capsys, lang):
+    book = tmp_path / "book.epub"
+    book.write_bytes(epubgen.make_book(n_chapters=4, language=None))  # no images
+    reply = json.dumps({"lang": lang, "confidence": 0.99}).encode()
+    with MockBackendServer() as server:
+        server.script.respond = lambda path, body: (200, reply)
+        code, report = _repair(book, tmp_path / "out", server)
+        asked = [r.path for r in server.script.requests]
+    assert "Traceback" not in capsys.readouterr().err
+    row = report["files"][0]
+    assert asked == ["/v1/language"]
+    assert (code, row["status"]) == (0, "Repaired")
+    assert row["post_report"]["issues"] == []
+    fixes = [fix for fix in row["fixes"] if fix["field"] == "dc:language"]
+    assert [(fix["new"], fix["reason"]) for fix in fixes] == [("en", "Detected")]
