@@ -17,7 +17,7 @@ import math
 import operator
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from altgen.errors import AltgenError
@@ -157,7 +157,7 @@ def error_reduction_rate(pre_errors: int, post_errors: int) -> tuple[float, bool
 
 def mean(values: Sequence[float]) -> float | None:
     """The mean of finite values, None for none. It is finite too: where
-    their sum is past the float range, each is divided before the sum."""
+    their sum is past the float range, it is taken exactly."""
     if not values:
         return None
     try:
@@ -166,7 +166,9 @@ def mean(values: Sequence[float]) -> float | None:
         total = math.inf
     if math.isfinite(total):
         return total / len(values)
-    return math.fsum(value / len(values) for value in values)
+    from fractions import Fraction  # rare path; at the top it would slow every start
+
+    return float(sum(map(Fraction, values)) / len(values))
 
 
 @dataclass
@@ -183,18 +185,7 @@ class MetricReport:
     missing_references: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "cosine": self.cosine,
-            "bleu": self.bleu,
-            "err_percent": self.err_percent,
-            "no_baseline": self.no_baseline,
-            "seconds_per_file": self.seconds_per_file,
-            "n_files": self.n_files,
-            "n_pairs": self.n_pairs,
-            "embed_failures": self.embed_failures,
-            "bleu_failures": self.bleu_failures,
-            "missing_references": self.missing_references,
-        }
+        return asdict(self)
 
 
 def _pair_cosine(a: Sequence[float], b: Sequence[float]) -> float | None:

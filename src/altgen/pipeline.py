@@ -1,26 +1,24 @@
 """Batch orchestration: audit, repair, and validate over files and
 directories, with per-file parallelism and JSON/text reporting.
 
-Stage order per file is fixed: parse and audit, caption generation, metadata
-enrichment, reconstruction, re-audit. Repair unzips a book once and parses
-its OPF once. Each content document is parsed once, by
-audit.read_documents; that parse gives the audit its images, the captions
-their targets and their contexts (one tree walk per document), and the
-language sample its text, and its tree is then released. Captioning sends
-one `generate_alts` call per book for the targets of all its documents,
-then splices each document's alts, document by document in book order,
-checked by one re-parse of the bytes written.
-That re-parse is also the written document's integrity verdict and its part
-of the re-audit, which audits the repaired model (untouched documents as
-first parsed, the enriched package) rather than the written file.
+Stage order per file is fixed: parse and audit, the integrity check,
+caption generation, metadata enrichment, reconstruction, re-audit. Repair
+unzips a book once and parses its OPF once. Each content document is parsed
+once, by audit.read_documents; that parse gives the audit its images, the
+captions their targets and their contexts (one tree walk per document), and
+the language sample its text, and its tree is then released. The integrity
+check (reconstruct.integrity_check) runs once, before any caption request,
+and fails a book with every finding: a manifest href that names no entry,
+and a document that no alts at its targets can make well-formed XML.
+Captioning sends one `generate_alts` call per book for the targets of all
+its documents, then splices each document's alts, document by document in
+book order, checked by one re-parse of the bytes written. That re-parse is
+also the written document's integrity verdict, which rebuild trusts, and its
+part of the re-audit, which audits the repaired model (untouched documents
+as first parsed, the enriched package) rather than the written file.
 Enrichment returns a new package only when it changes one, and only then is
 the OPF written again: its edits are spliced into the OPF's own bytes,
-inside <metadata>, and the rest of the OPF keeps its bytes. The integrity
-check refuses a book for two reasons: a manifest href that names no entry,
-and a rewritten document that is not well-formed XML. Both are found
-before any caption request (for a document, when no alt can make it
-well-formed), so such a book fails there; rebuild checks the rewritten
-entries again. Any Exception
+inside <metadata>, and the rest of the OPF keeps its bytes. Any Exception
 in any stage of a book, from reading its file to writing the repaired copy,
 gives that book one Failed row and never stops the batch; the row keeps what
 the stages before the failure found. When the exception is no AltgenError
@@ -75,7 +73,7 @@ from altgen.container import (
 )
 from altgen.content import ContentDocument, ImageOccurrence, VisibleText
 from altgen.errors import AltgenError
-from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate
+from altgen.metrics import MetricReport, corpus_metrics, error_reduction_rate, mean
 from altgen.package import MetaKind, PackageDocument, parse_opf, serialize_opf
 
 
@@ -383,15 +381,11 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, client) -> F
             return result
 
         language = _caption_language(pkg)
-        # what would fail the integrity check at rebuild fails the book
-        # before any caption request
-        for document, targets, _ in chapters:
-            if not document.can_be_well_formed([occ.element_index for occ, _, _ in targets]):
-                code = reconstruct.FindingCode.MALFORMED_MODIFIED_DOC
-                raise reconstruct.IntegrityErrors(
-                    [reconstruct.IntegrityFinding(code, document.doc_path)]
-                )
-        findings = reconstruct.integrity_check(archive, pkg)
+        findings = reconstruct.integrity_check(
+            archive,
+            pkg,
+            [(doc, [occ.element_index for occ, _, _ in targets]) for doc, targets, _ in chapters],
+        )
         if findings:
             raise reconstruct.IntegrityErrors(findings)
         requests = [
@@ -446,7 +440,7 @@ def _repair_one(path: Path, out_path: Path, config: PipelineConfig, client) -> F
         if pkg_enriched is not pkg:  # enrichment changed the package
             opf_entry = archive.entry(archive.rootfile_path)
             modified.append(opf_entry.with_data(serialize_opf(pkg_enriched)))
-        written = reconstruct.rebuild(archive, pkg_enriched, modified)
+        written = reconstruct.rebuild(archive, modified)
         reconstruct.write_file_atomic(out_path, written)
         # the audit of the repaired model: untouched documents as parsed,
         # modified ones as their splice re-parsed them, the enriched package
@@ -531,14 +525,12 @@ def aggregate_results(results: list[FileResult]) -> dict:
         elif r.pre_report is not None and r.status is not FileStatus.CLEAN_SKIPPED:
             post_errors += r.pre_report.error_count
     err_percent, no_baseline = error_reduction_rate(pre_errors, post_errors)
-    timings = [r.elapsed_seconds for r in results]
-    seconds_per_file = sum(timings) / len(timings) if timings else 0.0
     return {
         "pre_errors": pre_errors,
         "post_errors": post_errors,
         "err_percent": err_percent,
         "no_baseline": no_baseline,
-        "seconds_per_file": seconds_per_file,
+        "seconds_per_file": mean([r.elapsed_seconds for r in results]) or 0.0,
     }
 
 

@@ -1,28 +1,28 @@
-"""The last check of a repaired EPUB, and its assembly.
+"""The integrity gate of a repair, and the assembly of its book.
 
-integrity_check refuses a repaired book for two reasons only: a manifest
-href that names no entry, and a modified content document that is not
-well-formed XML. Every other structural rule is checked once, by the module
-that owns it: open_epub and write_epub's gate enforce the OCF rules (the
-mimetype entry, container.xml, the rootfile), and parse_opf the spine's
-references. rebuild takes the archive as opened and the entries a repair
-changed. It checks and writes the archive's entries in order, each modified
-one in the place of the entry with its path, without copying the archive,
-which it leaves as it was.
+integrity_check, run before any caption request, refuses a book for two
+reasons only: a manifest href that names no entry, and a content document
+that no alts at its caption targets can make well-formed XML. Every other
+structural rule is checked once, by the module that owns it: open_epub and
+write_epub's gate enforce the OCF rules (the mimetype entry, container.xml,
+the rootfile), and parse_opf the spine's references. rebuild parses
+nothing: it writes the archive's entries in order, each modified one in the
+place of the entry with its path, and refuses a modified document whose
+splice did not find it well-formed. It leaves the archive as it was.
 """
 
 from __future__ import annotations
 
 import os
-import posixpath
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from altgen.container import ArchiveEntry, EpubArchive, is_well_formed, write_epub
+from altgen.container import ArchiveEntry, EpubArchive, write_epub
+from altgen.content import ContentDocument
 from altgen.errors import AltgenError
-from altgen.package import PackageDocument, XHTML_MEDIA_TYPES, has_scheme
+from altgen.package import PackageDocument, has_scheme
 
 
 class IntegrityErrors(AltgenError):
@@ -45,54 +45,52 @@ class IntegrityFinding:
 
 
 def integrity_check(
-    archive: EpubArchive, pkg: PackageDocument, modified: Sequence[ArchiveEntry] = ()
+    archive: EpubArchive,
+    pkg: PackageDocument,
+    chapters: Sequence[tuple[ContentDocument, list[int]]] = (),
 ) -> list[IntegrityFinding]:
-    """Findings that stop a repaired book; never raises. Sorted by path.
+    """Findings that stop a book before any caption request; never raises.
+    Sorted by path.
 
-    A manifest href that is no URL must name an entry of the archive. Each
-    `modified` content document must be well-formed XML: the verdict is the
-    entry's own (`well_formed`, set by ContentDocument.splice) when it has
-    one, else container.is_well_formed's on its bytes."""
+    A manifest href that is no URL must name an entry of the archive, and
+    each (document, image indices) of `chapters` must be a document that
+    alts at those images can make well-formed XML."""
     findings = [
         IntegrityFinding(FindingCode.MANIFEST_DANGLING_HREF, item.href)
         for item in pkg.manifest
         if not has_scheme(item.href) and archive.entry(item.href) is None
     ]
-    xhtml_hrefs = {i.href for i in pkg.manifest if i.media_type in XHTML_MEDIA_TYPES}
-    for entry in modified:
-        ext = posixpath.splitext(entry.path)[1].lower()
-        if entry.path in xhtml_hrefs or ext in (".xhtml", ".html", ".htm"):
-            well_formed = entry.well_formed
-            if well_formed is None:
-                well_formed = is_well_formed(entry.data)
-            if not well_formed:
-                findings.append(IntegrityFinding(FindingCode.MALFORMED_MODIFIED_DOC, entry.path))
+    findings += (
+        IntegrityFinding(FindingCode.MALFORMED_MODIFIED_DOC, document.doc_path)
+        for document, indices in chapters
+        if not document.can_be_well_formed(indices)
+    )
     findings.sort(key=lambda f: (f.path, f.code.value))
     return findings
 
 
-def rebuild(
-    archive: EpubArchive,
-    pkg: PackageDocument,
-    modified_docs: Sequence[ArchiveEntry] = (),
-) -> bytes:
-    """Assemble output bytes: the archive's entries with the modified ones
-    in their place, checked for integrity, then written.
+def rebuild(archive: EpubArchive, modified_docs: Sequence[ArchiveEntry] = ()) -> bytes:
+    """The archive's entries, each modified one in the place of the entry
+    with its path, written as EPUB bytes.
 
     `modified_docs` holds every entry that differs from the archive's, the
-    OPF included: a caller that changed the package passes the OPF entry
-    serialize_opf writes for it, since pkg is only the model the integrity
-    check reads. Raises IntegrityErrors when there are findings,
-    InvariantViolation (from write_epub) for a broken OCF structure, and
-    KeyError for a modified entry whose path is not in the archive.
-    """
+    OPF included. Each but the rootfile carries its splice's `well_formed`
+    verdict, and rebuild refuses with IntegrityErrors (MalformedModifiedDoc,
+    sorted by path) any whose verdict is not True. Raises InvariantViolation
+    (from write_epub) for a broken OCF structure, and KeyError for a
+    modified entry whose path is not in the archive."""
     modified = {doc.path: doc for doc in modified_docs}
     entries = [modified.pop(entry.path, entry) for entry in archive.entries]
     if modified:
         raise KeyError(next(iter(modified)))
-    findings = integrity_check(archive, pkg, modified_docs)
-    if findings:
-        raise IntegrityErrors(findings)
+    malformed = sorted(
+        doc.path
+        for doc in modified_docs
+        if doc.path != archive.rootfile_path and doc.well_formed is not True
+    )
+    if malformed:
+        code = FindingCode.MALFORMED_MODIFIED_DOC
+        raise IntegrityErrors([IntegrityFinding(code, path) for path in malformed])
     return write_epub(EpubArchive(entries, archive.rootfile_path))
 
 

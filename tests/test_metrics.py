@@ -5,7 +5,7 @@ import sys
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import embed_oracles
@@ -163,6 +163,7 @@ class TestErrorReductionRate:
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+@example([sys.float_info.max] * 3)  # the sum of their thirds overflows too
 def test_mean_of_finite_values_is_finite(values):
     got = mean(values)
     if not values:

@@ -38,7 +38,7 @@ from altgen.pipeline import (
     run_repair,
     run_validate,
 )
-from epubgen import book_with_chapter, build_zip, container_xml, make_book, opf, page
+from epubgen import book_with_chapter, build_zip, container_xml, make_book, opf, page, tiny_png
 
 
 def write_book(path: Path, **kwargs) -> Path:
@@ -542,6 +542,69 @@ class TestRunRepair:
         assert results[0].status is FileStatus.FAILED
         assert results[0].failure_reason == "MalformedModifiedDoc: OEBPS/ch1.xhtml"
         assert results[0].caption_failures == 0
+        assert code == 2
+
+    def test_one_integrity_check_per_captioned_book(self, tmp_path, monkeypatch):
+        # the gate runs once, before captioning; rebuild does not run it
+        # again, and a clean book never reaches it
+        from altgen import reconstruct
+
+        calls = []
+        check = reconstruct.integrity_check
+
+        def counted(archive, pkg, chapters=()):
+            calls.append(archive.rootfile_path)
+            return check(archive, pkg, chapters)
+
+        monkeypatch.setattr("altgen.reconstruct.integrity_check", counted)
+        (tmp_path / "in").mkdir()
+        write_book(tmp_path / "in" / "a.epub", **defective_kwargs())
+        write_book(tmp_path / "in" / "b.epub")
+        write_book(tmp_path / "in" / "c.epub", **defective_kwargs())
+        results, code = run_repair(
+            [tmp_path / "in"], PipelineConfig(jobs=1, output_dir=tmp_path / "out")
+        )
+        assert [r.status for r in results] == [
+            FileStatus.REPAIRED,
+            FileStatus.CLEAN_SKIPPED,
+            FileStatus.REPAIRED,
+        ]
+        assert len(calls) == 2
+        assert code == 0
+
+    def test_every_pre_caption_finding_is_reported_sorted(self, tmp_path):
+        # an unmendable chapter and a dangling manifest href: both are
+        # named, by path, and no caption is asked for
+        book = build_zip(
+            [
+                ("META-INF/container.xml", container_xml()),
+                (
+                    "OEBPS/ch1.xhtml",
+                    b'<html><body><p>soup<br><img src="images/a.png"></body></html>',
+                ),
+                ("OEBPS/images/a.png", tiny_png()),
+                (
+                    "OEBPS/content.opf",
+                    opf(
+                        manifest=[
+                            ("c1", "ch1.xhtml", "application/xhtml+xml"),
+                            ("a", "images/a.png", "image/png"),
+                            ("z", "art/z.png", "image/png"),
+                        ],
+                        spine=["c1"],
+                    ),
+                ),
+            ]
+        )
+        (tmp_path / "soup.epub").write_bytes(book)
+        (result,), code = run_repair(
+            [tmp_path / "soup.epub"], PipelineConfig(jobs=1, output_dir=tmp_path / "out")
+        )
+        assert result.status is FileStatus.FAILED
+        assert result.failure_reason == (
+            "ManifestDanglingHref: OEBPS/art/z.png; MalformedModifiedDoc: OEBPS/ch1.xhtml"
+        )
+        assert result.caption_failures == 0 and result.alts_written == 0
         assert code == 2
 
     def test_tag_soup_the_alt_makes_xml_repaired(self, tmp_path):

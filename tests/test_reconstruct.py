@@ -1,4 +1,4 @@
-"""Integrity findings and final archive assembly."""
+"""The integrity gate before captioning, and final archive assembly."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from altgen.container import ArchiveEntry, InvariantViolation, open_epub
+from altgen.content import ContentDocument
 from altgen.package import MetaEntry, MetaKind, parse_opf, serialize_opf
 from altgen.reconstruct import (
     FindingCode,
@@ -17,12 +18,29 @@ from altgen.reconstruct import (
     rebuild,
     write_file_atomic,
 )
-from epubgen import build_zip, container_xml, make_book, opf, page
+from epubgen import book_with_chapter, build_zip, container_xml, make_book, opf, page
 
 
 def load(book: bytes):
     archive = open_epub(book)
     return archive, parse_opf(archive.entry(archive.rootfile_path))
+
+
+def chapter(book: bytes, indices: list[int]):
+    """(archive, pkg, chapters) for a book whose one chapter has caption
+    targets at the image `indices`."""
+    archive, pkg = load(book)
+    return archive, pkg, [(ContentDocument(archive.entry("OEBPS/ch1.xhtml")), indices)]
+
+
+# tag soup: an unclosed <p> and a <br>, which no alt can mend
+SOUP = b'<html><body><p>soup<br><img src="images/a.png"></body></html>'
+# two valueless alts: the chapter is XML once both have values
+TWO_BARE_ALTS = page('<img src="images/a.png" alt/><img src="images/b.png" alt/>')
+
+
+def no_parse(data):
+    raise AssertionError("rebuild parsed an entry")
 
 
 def opf_entry(archive, pkg):
@@ -90,17 +108,35 @@ class TestIntegrityCheck:
         archive.entries[0] = archive.entries[0].with_data(b"text/plain")
         assert integrity_check(archive, pkg) == []
         with pytest.raises(InvariantViolation, match="mimetype entry content is wrong"):
-            rebuild(archive, pkg)
+            rebuild(archive)
 
     def test_modified_malformed_doc_flagged(self):
-        archive, pkg = load(make_book())
-        bad = archive.entry("OEBPS/ch1.xhtml").with_data(b"<html><p></html>")
-        assert integrity_check(archive, pkg, [bad]) == [
+        # only alts at both images make this chapter XML
+        book = book_with_chapter(TWO_BARE_ALTS, ["a.png", "b.png"])
+        assert integrity_check(*chapter(book, [0, 1])) == []
+        assert integrity_check(*chapter(book, [1])) == [
             IntegrityFinding(FindingCode.MALFORMED_MODIFIED_DOC, "OEBPS/ch1.xhtml")
         ]
 
+    def test_malformed_modified_doc_blocks(self):
+        # what rebuild refused after captioning, the gate refuses before it
+        archive, pkg, chapters = chapter(book_with_chapter(SOUP, ["a.png"]), [0])
+        findings = integrity_check(archive, pkg, chapters)
+        assert findings == [
+            IntegrityFinding(FindingCode.MALFORMED_MODIFIED_DOC, "OEBPS/ch1.xhtml")
+        ]
+        assert str(IntegrityErrors(findings)) == "MalformedModifiedDoc: OEBPS/ch1.xhtml"
+
+    def test_error_findings_block(self):
+        archive, pkg = load(make_book())
+        pkg.manifest[0].href = "OEBPS/gone.xhtml"
+        findings = integrity_check(archive, pkg)
+        assert [f.code for f in findings] == [FindingCode.MANIFEST_DANGLING_HREF]
+        assert str(IntegrityErrors(findings)) == "ManifestDanglingHref: OEBPS/gone.xhtml"
+
     def test_unmodified_malformed_doc_not_flagged(self):
-        # pre-existing damage is the audit's business, not the rebuilder's
+        # pre-existing damage is the audit's business: the gate checks only
+        # the chapters that alts will rewrite
         book = build_zip(
             [
                 ("META-INF/container.xml", container_xml()),
@@ -121,7 +157,7 @@ class TestIntegrityCheck:
         book = build_zip(
             [
                 ("META-INF/container.xml", container_xml()),
-                ("OEBPS/ch1.xhtml", page("<p>hello</p>")),
+                ("OEBPS/ch1.xhtml", SOUP),
                 (
                     "OEBPS/content.opf",
                     opf(
@@ -135,9 +171,7 @@ class TestIntegrityCheck:
                 ),
             ]
         )
-        archive, pkg = load(book)
-        bad = archive.entry("OEBPS/ch1.xhtml").with_data(b"<html><p></html>")
-        findings = integrity_check(archive, pkg, [bad])
+        findings = integrity_check(*chapter(book, [0]))
         assert [f.path for f in findings] == [
             "OEBPS/ch1.xhtml",
             "OEBPS/images/a.png",
@@ -150,20 +184,20 @@ class TestRebuild:
         book = make_book()
         archive, pkg = load(book)
         original_opf = archive.entry(archive.rootfile_path).data
-        out = open_epub(rebuild(archive, pkg))
+        out = open_epub(rebuild(archive))
         assert out.entry(out.rootfile_path).data == original_opf
 
     def test_changed_model_reserializes_opf(self):
         archive, pkg = load(make_book(language=None))
         pkg.metadata.append(MetaEntry(MetaKind.DC_LANGUAGE, "en"))
-        out = open_epub(rebuild(archive, pkg, [opf_entry(archive, pkg)]))
+        out = open_epub(rebuild(archive, [opf_entry(archive, pkg)]))
         new_pkg = parse_opf(out.entry(out.rootfile_path))
         assert new_pkg.values(MetaKind.DC_LANGUAGE) == ["en"]
 
     def test_only_opf_differs_on_metadata_change(self):
         archive, pkg = load(make_book(language=None))
         pkg.metadata.append(MetaEntry(MetaKind.DC_LANGUAGE, "en"))
-        out = open_epub(rebuild(archive, pkg, [opf_entry(archive, pkg)]))
+        out = open_epub(rebuild(archive, [opf_entry(archive, pkg)]))
         assert [e.path for e in out.entries] == [e.path for e in archive.entries]
         for before, after in zip(archive.entries, out.entries):
             if before.path == archive.rootfile_path:
@@ -174,73 +208,72 @@ class TestRebuild:
     def test_modified_doc_verdict_used_without_a_parse(self, monkeypatch):
         archive, pkg = load(make_book())
         ch1 = archive.entry("OEBPS/ch1.xhtml")
-
-        def no_parse(data):
-            raise AssertionError("the chapter was parsed again")
-
-        monkeypatch.setattr("altgen.reconstruct.is_well_formed", no_parse)
+        monkeypatch.setattr("altgen.container.parse_xml", no_parse)
         good = ch1.with_data(page("<p>x</p>"), well_formed=True)
-        assert rebuild(archive, pkg, [good])
+        assert rebuild(archive, [good, opf_entry(archive, pkg)])
         bad = ch1.with_data(b"<html><p></html>", well_formed=False)
         with pytest.raises(IntegrityErrors) as excinfo:
-            rebuild(archive, pkg, [bad])
+            rebuild(archive, [bad])
         assert str(excinfo.value) == "MalformedModifiedDoc: OEBPS/ch1.xhtml"
+
+    def test_entry_without_a_verdict_refused_unless_rootfile(self, monkeypatch):
+        # an entry no splice wrote has no verdict; rebuild refuses it, XHTML
+        # or not, and parses nothing to decide
+        archive, pkg = load(make_book(n_chapters=2))
+        monkeypatch.setattr("altgen.container.parse_xml", no_parse)
+        ch2 = archive.entry("OEBPS/ch2.xhtml").with_data(page("<p>two</p>"))
+        ch1 = archive.entry("OEBPS/ch1.xhtml").with_data(page("<p>one</p>"))
+        with pytest.raises(IntegrityErrors) as excinfo:
+            rebuild(archive, [ch2, opf_entry(archive, pkg), ch1])
+        assert str(excinfo.value) == (
+            "MalformedModifiedDoc: OEBPS/ch1.xhtml; MalformedModifiedDoc: OEBPS/ch2.xhtml"
+        )
+        container = archive.entry("META-INF/container.xml")
+        with pytest.raises(IntegrityErrors, match="MalformedModifiedDoc: META-INF/container.xml"):
+            rebuild(archive, [container.with_data(container.data)])
+        assert rebuild(archive, [opf_entry(archive, pkg)])
 
     def test_modified_docs_swapped_in(self):
         archive, pkg = load(make_book())
         new_doc = archive.entry("OEBPS/ch1.xhtml").with_data(
-            page("<p>rewritten</p>")
+            page("<p>rewritten</p>"), well_formed=True
         )
-        out = open_epub(rebuild(archive, pkg, modified_docs=[new_doc]))
+        out = open_epub(rebuild(archive, modified_docs=[new_doc]))
         assert b"rewritten" in out.entry("OEBPS/ch1.xhtml").data
 
     def test_input_archive_untouched(self):
         archive, pkg = load(make_book())
         before = [replace(e) for e in archive.entries]
-        new_doc = archive.entry("OEBPS/ch1.xhtml").with_data(page("<p>new</p>"))
-        rebuild(archive, pkg, modified_docs=[new_doc])
+        new_doc = archive.entry("OEBPS/ch1.xhtml").with_data(page("<p>new</p>"), well_formed=True)
+        rebuild(archive, modified_docs=[new_doc])
         assert archive.entries == before
 
-    def test_error_findings_block(self):
-        archive, pkg = load(make_book())
-        pkg.manifest[0].href = "OEBPS/gone.xhtml"
-        with pytest.raises(IntegrityErrors) as excinfo:
-            rebuild(archive, pkg)
-        codes = {f.code for f in excinfo.value.findings}
-        assert FindingCode.MANIFEST_DANGLING_HREF in codes
-
-    def test_malformed_modified_doc_blocks(self):
-        archive, pkg = load(make_book())
-        bad = archive.entry("OEBPS/ch1.xhtml").with_data(b"<html><p></html>")
-        with pytest.raises(IntegrityErrors):
-            rebuild(archive, pkg, modified_docs=[bad])
-
     def test_unknown_modified_path_raises(self):
-        archive, pkg = load(make_book())
+        archive, _ = load(make_book())
         ghost = archive.entry("OEBPS/ch1.xhtml").with_data(b"x")
         ghost = replace(ghost, path="OEBPS/nope.xhtml")
         with pytest.raises(KeyError):
-            rebuild(archive, pkg, modified_docs=[ghost])
+            rebuild(archive, modified_docs=[ghost])
 
     def test_unknown_path_among_modified_raises(self):
-        archive, pkg = load(make_book())
-        known = archive.entry("OEBPS/ch1.xhtml").with_data(page("<p>new</p>"))
+        archive, _ = load(make_book())
+        known = archive.entry("OEBPS/ch1.xhtml").with_data(page("<p>new</p>"), well_formed=True)
         ghost = ArchiveEntry(path="OEBPS/nope.xhtml", data=b"")
         with pytest.raises(KeyError) as excinfo:
-            rebuild(archive, pkg, modified_docs=[known, ghost])
+            rebuild(archive, modified_docs=[known, ghost])
         assert excinfo.value.args == ("OEBPS/nope.xhtml",)
 
     def test_missing_rootfile_blocks(self):
-        archive, pkg = load(make_book())
+        archive, _ = load(make_book())
         archive.entries = [
             e for e in archive.entries if e.path != archive.rootfile_path
         ]
         with pytest.raises(InvariantViolation, match="archive lacks its rootfile"):
-            rebuild(archive, pkg)
+            rebuild(archive)
 
     def test_round_trip_still_opens(self):
-        archive, pkg = load(make_book())
-        out = rebuild(archive, pkg)
+        archive, _ = load(make_book())
+        out = rebuild(archive)
         reopened = open_epub(out)
         assert reopened.rootfile_path == archive.rootfile_path
 
